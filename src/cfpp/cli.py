@@ -52,16 +52,32 @@ def _load_config(path):
     return raw
 
 
+def _field(raw, name, default, convert):
+    """Config field ``name`` (or ``default``) passed through ``convert``.
+
+    A value the conversion rejects is a config error, not a traceback.
+    """
+    value = raw.get(name, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: cannot use {value!r}: {exc}") from exc
+
+
+def _float_list(value):
+    return [float(value)] if np.isscalar(value) else [float(v) for v in value]
+
+
 def _resolve(raw):
     """Validate the common fields and build the intensity model."""
     try:
-        model = intens.from_config(raw.get("intensity", {}))
+        model = _field(raw, "intensity", {}, intens.from_config)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    alpha = float(raw.get("alpha", 1.0))
+    alpha = _field(raw, "alpha", 1.0, float)
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    t = float(raw.get("t", 1.0))
+    t = _field(raw, "t", 1.0, float)
     if t < 0:
         raise ConfigError(f"t must be nonnegative, got {t}")
     return model, alpha, t
@@ -85,9 +101,7 @@ def _json_report(payload, resolved_config):
 def cmd_pmf(args):
     raw = _load_config(args.config)
     model, alpha, t = _resolve(raw)
-    n_max = raw.get("n_max")
-    if n_max is not None:
-        n_max = int(n_max)
+    n_max = None if raw.get("n_max") is None else _field(raw, "n_max", None, int)
     engines = {
         "lambda": dist.pmf_cfpp,
         "theta": dist.pmf_cfpp_theta,
@@ -116,7 +130,9 @@ def cmd_pmf(args):
 def cmd_moments(args):
     raw = _load_config(args.config)
     model, alpha, t = _resolve(raw)
-    r_max = int(raw.get("r_max", 4))
+    r_max = _field(raw, "r_max", 4, int)
+    if not 1 <= r_max <= dist.R_MAX:
+        raise ConfigError(f"r_max must lie in 1..{dist.R_MAX}, got {r_max}")
     report = dist.moment_report(model, alpha, t, r_max)
     resolved = {"intensity": model.to_config(), "alpha": alpha, "t": t, "r_max": r_max}
     if args.format == "csv":
@@ -142,8 +158,7 @@ def cmd_moments(args):
 def cmd_pgf(args):
     raw = _load_config(args.config)
     model, alpha, t = _resolve(raw)
-    u_spec = raw.get("u", [round(0.1 * i, 1) for i in range(11)])
-    u_values = [float(u_spec)] if np.isscalar(u_spec) else [float(u) for u in u_spec]
+    u_values = _field(raw, "u", [round(0.1 * i, 1) for i in range(11)], _float_list)
     rows = [(u, dist.pgf(model, alpha, t, u)) for u in u_values]
     resolved = {"intensity": model.to_config(), "alpha": alpha, "t": t, "u": u_values}
     if args.format == "csv":

@@ -258,10 +258,5 @@ def _report_from_counts(counts, cfg):
 
 
 def mc_pmf(model, alpha, t, cfg: SamplerConfig) -> MCReport:
-    """Empirical count distribution with cell standard errors."""
-    return _report_from_counts(_all_counts(model, alpha, t, cfg), cfg)
-
-
-def mc_moments(model, alpha, t, cfg: SamplerConfig) -> MCReport:
-    """Empirical mean and variance with standard errors (same report type)."""
+    """Empirical count distribution, mean and variance, with standard errors."""
     return _report_from_counts(_all_counts(model, alpha, t, cfg), cfg)

@@ -1,10 +1,14 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cfpp
 from cfpp import __version__
 from cfpp.cli import EXIT_BAD_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION_FAILED, main
 from cfpp.distribution import pmf_cfpp, var_cfpp
@@ -77,6 +81,37 @@ class TestPmfCommand:
         )
         assert main(["pmf", "--config", str(cfg)]) == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
+
+
+class TestBadConfigFields:
+    @pytest.mark.parametrize(
+        "command,field,value",
+        [
+            ("pmf", "alpha", "abc"),
+            ("pmf", "n_max", "abc"),
+            ("moments", "r_max", "x"),
+            ("moments", "r_max", 7),
+            ("moments", "r_max", 0),
+        ],
+    )
+    def test_unusable_field_exits_2(self, tmp_path, capsys, command, field, value):
+        cfg = tmp_path / "bad.json"
+        doc = {"intensity": {"type": "geometric", "lambda0": 1.0, "q": 0.5}, field: value}
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # mpmath is a test oracle only, and scipy.special is imported lazily by
+    # the one branch that needs it, so a fresh `cfpp` process pays for neither
+    src = os.path.dirname(os.path.dirname(cfpp.__file__))
+    code = "import sys, cfpp.cli; print(sorted({'mpmath', 'scipy.special'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

@@ -14,7 +14,6 @@ from cfpp.simulate import (
     MCReport,
     SamplerConfig,
     JumpSampler,
-    mc_moments,
     mc_pmf,
     ml_waiting_time,
     sample_cfpp,
@@ -223,7 +222,7 @@ class TestMonteCarloReports:
 
     def test_moments_against_closed_forms(self):
         cfg = SamplerConfig(seed=12, n_samples=N, workers=4)
-        rep = mc_moments(GEO, 0.7, 1.0, cfg)
+        rep = mc_pmf(GEO, 0.7, 1.0, cfg)
         assert abs(rep.sample_mean - mean_cfpp(GEO, 0.7, 1.0)) < 3 * rep.mean_se
         assert abs(rep.sample_var - var_cfpp(GEO, 0.7, 1.0)) < 3 * rep.var_se
         assert isinstance(rep, MCReport)

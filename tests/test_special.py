@@ -5,11 +5,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.special import (
-    EvalOptions,
     MLParams,
     complete_beta,
     incomplete_beta,
@@ -104,14 +103,6 @@ class TestMittagLefflerDomain:
             MLParams(-0.5, 1, 1)
         with pytest.raises(DomainError):
             MLParams(0.5, 0.0, 1)
-        with pytest.raises(DomainError):
-            EvalOptions(rel_tol=2.0)
-        with pytest.raises(DomainError):
-            EvalOptions(max_terms=0)
-
-    def test_term_budget_exhaustion(self):
-        with pytest.raises(NonConvergenceError):
-            ml_two(0.5, 1.0, -20.0, EvalOptions(max_terms=10))
 
 
 class TestDerivative:
@@ -180,6 +171,29 @@ class TestWeightVector:
     def test_zero_argument(self):
         w = ml_weights(0.5, 0.0, 5)
         np.testing.assert_array_equal(w, [1, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("alpha,x", [(0.5, 45.0), (0.3, 20.0), (0.1, 50.0)])
+    def test_closed_form_identities_deep_in_domain(self, alpha, x):
+        # sum_k w_k = E_alpha(0) = 1, sum_k k w_k = x / Gamma(1 + alpha) and
+        # sum_k k (k-1) w_k = 2 x^2 / Gamma(1 + 2 alpha): closed forms that
+        # share no code with the evaluator
+        w = ml_weights(alpha, x, 2000)
+        k = np.arange(w.size, dtype=float)
+        np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(k @ w, x / math.gamma(1.0 + alpha), rtol=1e-12)
+        np.testing.assert_allclose(
+            (k * (k - 1.0)) @ w, 2.0 * x**2 / math.gamma(1.0 + 2.0 * alpha), rtol=1e-12
+        )
+
+    def test_half_order_survival_is_scaled_erfc(self):
+        # E_{1/2}(-x) = e^(x^2) erfc(x) = erfcx(x)
+        np.testing.assert_allclose(ml_weights(0.5, 45.0, 0)[0], special.erfcx(45.0), rtol=1e-12)
+
+    def test_unresolved_near_singularity_raises(self):
+        # at alpha -> 1 and x = 50 the transform is nearly singular just
+        # across the branch cut; the contour must refuse, not return noise
+        with pytest.raises(NonConvergenceError):
+            ml_weights(0.999, 50.0, 128)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
