@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,8 +79,8 @@ def _resolve(raw):
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     t = _field(raw, "t", 1.0, float)
-    if t < 0:
-        raise ConfigError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"t must be finite and nonnegative, got {t}")
     return model, alpha, t
 
 

@@ -75,6 +75,15 @@ def _check_n_max(n_max, ceiling=N_MAX_CEILING):
         raise DomainError(f"n_max = {n_max} exceeds the ceiling {ceiling}")
 
 
+def _convolution_powers(g, n):
+    """Rows k = 0..n of the convolution powers g^k, each truncated at degree n."""
+    out = np.zeros((n + 1, n + 1))
+    out[0, 0] = 1.0
+    for k in range(1, n + 1):
+        out[k] = np.convolve(out[k - 1], g)[: n + 1]
+    return out
+
+
 def jump_sum_pmf(model, n_max: int) -> np.ndarray:
     """Matrix J[k, n] = Pr{X_1 + ... + X_k = n} for k, n = 0..n_max.
 
@@ -85,11 +94,7 @@ def jump_sum_pmf(model, n_max: int) -> np.ndarray:
     g = np.zeros(n_max + 1)
     for j in range(1, n_max + 1):
         g[j] = intens.delta(model, j) / lam0
-    out = np.zeros((n_max + 1, n_max + 1))
-    out[0, 0] = 1.0
-    for k in range(1, n_max + 1):
-        out[k] = np.convolve(out[k - 1], g)[: n_max + 1]
-    return out
+    return _convolution_powers(g, n_max)
 
 
 def _point_mass(alpha, t, n_max, formula):
@@ -339,50 +344,49 @@ def var_cfpp(model, alpha: float, t: float) -> float:
     )
 
 
-def _moment_generic(model, alpha, t, r, part_sum):
-    if not 1 <= r <= R_MAX:
-        raise DomainError(f"moment order must lie in 1..{R_MAX}, got {r}")
-    if t == 0:
-        return 0.0
-    total = 0.0
-    for k in range(1, r + 1):
-        inner = 0.0
-        for comp in partitions.enumerate_weak_compositions(r, k):
-            # a zero part carries the telescoped factor sum_j delta~_j = 0
-            if 0 in comp:
-                continue
-            prod = 1.0
-            for m in comp:
-                prod *= part_sum(m) / math.factorial(m)
-            inner += prod
-        total += t ** (k * alpha) / math.gamma(k * alpha + 1.0) * inner
-    return math.factorial(r) * total
+def _moments(model, alpha, t, r_max):
+    """Raw and factorial moments of orders 0..r_max, as two arrays.
+
+    The pgf is G(u) = E_alpha(t^alpha D(u)), and D(1 + z) = sum_m z^m
+    sum_j (j)_m delta_j / m! (the m = 0 term telescopes to 0), so
+    F_r / r! = sum_k t^(k alpha) / Gamma(k alpha + 1) [z^r] D(1 + z)^k.
+    Substituting z = e^w - 1 into sum_r F_r z^r / r! gives the raw moments
+    as the Taylor coefficients in w.  Every term is nonnegative.
+    """
+    _validate_common(model, alpha, t)
+    if not 1 <= r_max <= R_MAX:
+        raise DomainError(f"moment order must lie in 1..{R_MAX}, got {r_max}")
+    fact_r = np.array([math.factorial(r) for r in range(r_max + 1)], dtype=float)
+    inner = np.array([0.0] + [model.falling_factorial_delta_sum(m) for m in range(1, r_max + 1)])
+    exp_minus_1 = np.append(0.0, 1.0 / fact_r[1:])
+    k_alpha = alpha * np.arange(r_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outer = t**k_alpha / np.array([math.gamma(a + 1.0) for a in k_alpha])
+        taylor = outer @ _convolution_powers(inner / fact_r, r_max)
+        raw = fact_r * (taylor @ _convolution_powers(exp_minus_1, r_max))
+    fact = fact_r * taylor
+    if not np.isfinite([raw, fact]).all():
+        raise DomainError(f"moments up to order {r_max} overflow at t={t}")
+    return raw, fact
 
 
 def moment(model, alpha: float, t: float, r: int) -> float:
     """r-th raw moment E N(t)^r for r = 1..6."""
-    _validate_common(model, alpha, t)
-    return _moment_generic(
-        model, alpha, t, r, lambda m: intens.power_delta_sum(model, m)
-    )
+    return float(_moments(model, alpha, t, r)[0][r])
 
 
 def factorial_moment(model, alpha: float, t: float, r: int) -> float:
     """r-th factorial moment E N(t)(N(t)-1)...(N(t)-r+1) for r = 1..6."""
-    _validate_common(model, alpha, t)
-    return _moment_generic(
-        model, alpha, t, r, lambda m: model.falling_factorial_delta_sum(m)
-    )
+    return float(_moments(model, alpha, t, r)[1][r])
 
 
 def moment_report(model, alpha: float, t: float, r_max: int = 4) -> MomentReport:
-    raw = tuple(moment(model, alpha, t, r) for r in range(1, r_max + 1))
-    fact = tuple(factorial_moment(model, alpha, t, r) for r in range(1, r_max + 1))
+    raw, fact = _moments(model, alpha, t, r_max)
     return MomentReport(
         mean=mean_cfpp(model, alpha, t),
         variance=var_cfpp(model, alpha, t),
-        raw_moments=raw,
-        factorial_moments=fact,
+        raw_moments=tuple(float(v) for v in raw[1:]),
+        factorial_moments=tuple(float(v) for v in fact[1:]),
     )
 
 

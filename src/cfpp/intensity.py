@@ -22,17 +22,6 @@ from typing import Union
 
 from .errors import DomainError
 
-# Stirling numbers of the second kind S(m, i) for m <= 8: convert power sums
-# sum_j j^m delta_j into the falling-factorial sums that close in form.
-_STIRLING2 = [[1]]
-for _m in range(1, 9):
-    _prev = _STIRLING2[-1]
-    _row = [0] * (_m + 1)
-    for _i in range(1, _m + 1):
-        _row[_i] = (_prev[_i] if _i < _m else 0) * _i + _prev[_i - 1]
-    _STIRLING2.append(_row)
-
-
 @dataclass(frozen=True)
 class FiniteIntensity:
     """Intensities (lambda_0, ..., lambda_J), identically zero beyond J."""
@@ -41,6 +30,8 @@ class FiniteIntensity:
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"intensities must be finite, got {values}")
         if not values or values[0] <= 0:
             raise DomainError("finite intensity needs lambda_0 > 0")
         if any(v < 0 for v in values):
@@ -94,8 +85,8 @@ class GeometricIntensity:
     q: float
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise DomainError(f"lambda_0 must be positive, got {self.lambda0}")
+        if not 0 < self.lambda0 < math.inf:
+            raise DomainError(f"lambda_0 must be positive and finite, got {self.lambda0}")
         if not 0.0 <= self.q < 1.0:
             raise DomainError(f"q must lie in [0, 1), got {self.q}")
 
@@ -148,18 +139,6 @@ def delta(model: IntensityModel, j: int) -> float:
 def jump_pmf(model: IntensityModel, j: int) -> float:
     """Jump-size probability delta_j / lambda_0."""
     return delta(model, j) / model.lambda_at(0)
-
-
-def power_delta_sum(model: IntensityModel, m: int) -> float:
-    """sum_{j>=1} j^m delta_j, via Stirling expansion into falling factorials."""
-    if m < 0:
-        raise DomainError(f"order must be >= 0, got {m}")
-    if m >= len(_STIRLING2):
-        raise DomainError(f"power sums implemented for m <= {len(_STIRLING2) - 1}")
-    return sum(
-        _STIRLING2[m][i] * model.falling_factorial_delta_sum(i)
-        for i in range(0 if m == 0 else 1, m + 1)
-    )
 
 
 def delta_series(model: IntensityModel, u: float) -> float:

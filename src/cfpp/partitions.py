@@ -15,7 +15,6 @@ tests are deterministic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
@@ -58,20 +57,10 @@ def iter_multiplicity_vectors(n, k, length):
     yield from fill(1, k, n)
 
 
-_CACHE_N_LIMIT = 32  # partition counts explode; only memoize desk-scale sets
-
-
-@lru_cache(maxsize=4096)
-def _lambda_cached(n: int, k: int) -> tuple:
-    return tuple(iter_multiplicity_vectors(n, k, n - k + 1))
-
-
 def enumerate_lambda(n: int, k: int) -> list[tuple[int, ...]]:
     """Multiplicity vectors of length n - k + 1 with part count k and weight n."""
     _check_n_k(n, k)
-    if n > _CACHE_N_LIMIT:
-        return list(iter_multiplicity_vectors(n, k, n - k + 1))
-    return list(_lambda_cached(n, k))
+    return list(iter_multiplicity_vectors(n, k, n - k + 1))
 
 
 def enumerate_theta(n: int, k: int) -> list[tuple[int, ...]]:
@@ -104,13 +93,8 @@ def bell_ordinary(n: int, k: int, u: Sequence[float]) -> float:
         raise DomainError(
             f"need at least n - k + 1 = {n - k + 1} variables, got {len(u)}"
         )
-    vecs = (
-        iter_multiplicity_vectors(n, k, n - k + 1)
-        if n > _CACHE_N_LIMIT
-        else _lambda_cached(n, k)
-    )
     total = 0.0
-    for vec in vecs:
+    for vec in iter_multiplicity_vectors(n, k, n - k + 1):
         coef = multinomial(k, vec)
         prod = 1.0
         for uj, kj in zip(u, vec):
@@ -136,24 +120,4 @@ def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
             fill(pos + 1, rem - m)
 
     fill(0, n)
-    return out
-
-
-def enumerate_weak_compositions(r: int, k: int) -> list[tuple[int, ...]]:
-    """Ordered k-tuples of nonnegative integers summing to r."""
-    if r < 1 or k < 1:
-        raise DomainError(f"need r >= 1 and k >= 1, got r={r}, k={k}")
-    out: list[tuple[int, ...]] = []
-    vec = [0] * k
-
-    def fill(pos, rem):
-        if pos == k - 1:
-            vec[pos] = rem
-            out.append(tuple(vec))
-            return
-        for m in range(rem + 1):
-            vec[pos] = m
-            fill(pos + 1, rem - m)
-
-    fill(0, r)
     return out

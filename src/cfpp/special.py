@@ -107,15 +107,17 @@ def ml_three(params: MLParams, x: float) -> float:
         raise DomainError(
             f"|x| = {abs(x)} exceeds the accuracy domain |x| <= {ML_MAX_ABS_ARGUMENT}"
         )
+    # 1/Gamma(beta) through lgamma: Gamma(beta) overflows past beta = 171.6
+    inv_gamma_beta = math.exp(-math.lgamma(beta))
     if x == 0.0:
-        return 1.0 / math.gamma(beta)
+        return inv_gamma_beta
     if x > 0.0:
         return _ml_positive_series(alpha, beta, gamma, x)
     if alpha == 1.0:
         # imported here: scipy.special adds about 0.3 s to every cfpp process
         import scipy.special as sc
 
-        return float(sc.hyp1f1(gamma, beta, x) / math.gamma(beta))
+        return float(sc.hyp1f1(gamma, beta, x) * inv_gamma_beta)
     if alpha > 1.0:
         raise DomainError(f"negative arguments need alpha <= 1, got alpha={alpha}")
     return float(_invert(_S ** (alpha * gamma - beta) / (_S**alpha - x) ** gamma))

@@ -82,6 +82,17 @@ class TestPmfCommand:
         assert main(["pmf", "--config", str(cfg)]) == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
 
+    def test_moment_overflow_exits_3(self, tmp_path, capsys):
+        # t^(r alpha) overflows for the orders r <= 4 that `moments` reports
+        cfg = tmp_path / "far.json"
+        cfg.write_text(
+            json.dumps({"intensity": {"type": "geometric", "lambda0": 1.0, "q": 0.5}, "t": 1e150})
+        )
+        assert main(["moments", "--config", str(cfg)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric error")
+        assert captured.out == ""
+
 
 class TestBadConfigFields:
     @pytest.mark.parametrize(
@@ -92,6 +103,13 @@ class TestBadConfigFields:
             ("moments", "r_max", "x"),
             ("moments", "r_max", 7),
             ("moments", "r_max", 0),
+            ("moments", "t", float("inf")),
+            ("pmf", "t", float("inf")),
+            ("pmf", "t", float("nan")),
+            ("moments", "intensity", {"type": "geometric", "lambda0": float("nan"), "q": 0.5}),
+            ("pmf", "intensity", {"type": "geometric", "lambda0": float("nan"), "q": 0.5}),
+            ("moments", "intensity", {"type": "finite", "values": [float("nan")]}),
+            ("pmf", "intensity", {"type": "finite", "values": [float("inf"), 1.0]}),
         ],
     )
     def test_unusable_field_exits_2(self, tmp_path, capsys, command, field, value):

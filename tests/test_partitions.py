@@ -12,7 +12,6 @@ from cfpp.partitions import (
     enumerate_compositions,
     enumerate_lambda,
     enumerate_theta,
-    enumerate_weak_compositions,
     multinomial,
 )
 
@@ -150,14 +149,6 @@ class TestCompositions:
         assert len(set(comps)) == len(comps)
         assert all(sum(c) == n and min(c) >= 1 for c in comps)
 
-    def test_weak_compositions(self):
-        assert enumerate_weak_compositions(1, 2) == [(0, 1), (1, 0)]
-        assert enumerate_weak_compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
-        assert len(enumerate_weak_compositions(3, 2)) == math.comb(4, 1)
-        assert len(enumerate_weak_compositions(4, 3)) == math.comb(6, 2)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             enumerate_compositions(2, 3)
-        with pytest.raises(DomainError):
-            enumerate_weak_compositions(0, 2)

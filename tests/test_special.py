@@ -48,6 +48,11 @@ class TestMittagLefflerValues:
             ml_two(0.6, 2.5, 0.0), 1.0 / math.gamma(2.5), rtol=1e-14
         )
 
+    def test_large_beta_does_not_overflow(self):
+        # Gamma(200) overflows a double; 1/Gamma(200) ~ 4e-373 rounds to 0
+        assert ml_two(0.5, 200.0, 0.0) == 0.0
+        assert math.isfinite(ml_three(MLParams(1.0, 200.0, 1.0), -1.0))
+
     def test_exponential_special_case(self):
         np.testing.assert_allclose(ml_three(MLParams(1, 1, 1), 1.0), math.e, rtol=1e-13)
         np.testing.assert_allclose(ml_two(1, 1, -1.0), math.exp(-1), rtol=1e-13)
