@@ -61,7 +61,7 @@ def _field(raw, name, default, convert):
     value = raw.get(name, default)
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: cannot use {value!r}: {exc}") from exc
 
 
@@ -99,83 +99,77 @@ def _json_report(payload, resolved_config):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_pmf(args):
+def _write(args, resolved, payload, header, rows):
+    """Emit ``rows`` under ``header`` as CSV, or ``payload`` as the JSON report.
+
+    CSV cells that are strings are written as they are, numbers by ``repr``.
+    """
+    if args.format == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(c if isinstance(c, str) else repr(c) for c in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _json_report(payload, resolved)
+    _emit(text, args.output)
+
+
+def _run_model_command(args):
+    """Load and resolve the config, run the subcommand, write its output.
+
+    A subcommand returns its resolved-config fields beyond the intensity and
+    alpha, its JSON payload, its CSV header and its CSV rows.
+    """
     raw = _load_config(args.config)
     model, alpha, t = _resolve(raw)
-    n_max = None if raw.get("n_max") is None else _field(raw, "n_max", None, int)
-    engines = {
-        "lambda": dist.pmf_cfpp,
-        "theta": dist.pmf_cfpp_theta,
-        "composition": dist.pmf_cfpp_composition,
-    }
-    sd = engines[args.formula](model, alpha, t, n_max)
-    resolved = {
-        "intensity": model.to_config(),
-        "alpha": alpha,
-        "t": t,
-        "n_max": sd.n_max,
-        "formula": sd.formula,
-    }
-    if args.format == "csv":
-        _emit(dist.state_distribution_csv(sd), args.output)
-    else:
-        payload = {
-            "probs": [float(p) for p in sd.probs],
-            "truncation_mass": sd.truncation_mass,
-            "formula": sd.formula,
-        }
-        _emit(_json_report(payload, resolved), args.output)
+    fields, payload, header, rows = args.compute(args, raw, model, alpha, t)
+    resolved = {"intensity": model.to_config(), "alpha": alpha, **fields}
+    _write(args, resolved, payload, header, rows)
     return EXIT_OK
 
 
-def cmd_moments(args):
-    raw = _load_config(args.config)
-    model, alpha, t = _resolve(raw)
+_PMF_ENGINES = {
+    "lambda": dist.pmf_cfpp,
+    "theta": dist.pmf_cfpp_theta,
+    "composition": dist.pmf_cfpp_composition,
+}
+
+
+def cmd_pmf(args, raw, model, alpha, t):
+    n_max = None if raw.get("n_max") is None else _field(raw, "n_max", None, int)
+    sd = _PMF_ENGINES[args.formula](model, alpha, t, n_max)
+    probs = [float(p) for p in sd.probs]
+    fields = {"t": t, "n_max": sd.n_max, "formula": sd.formula}
+    payload = {"probs": probs, "truncation_mass": sd.truncation_mass, "formula": sd.formula}
+    rows = [(n, p, sd.formula, alpha, t) for n, p in enumerate(probs)]
+    return fields, payload, ("n", "p", "formula", "alpha", "t"), rows
+
+
+def cmd_moments(args, raw, model, alpha, t):
     r_max = _field(raw, "r_max", 4, int)
     if not 1 <= r_max <= dist.R_MAX:
         raise ConfigError(f"r_max must lie in 1..{dist.R_MAX}, got {r_max}")
     report = dist.moment_report(model, alpha, t, r_max)
-    resolved = {"intensity": model.to_config(), "alpha": alpha, "t": t, "r_max": r_max}
-    if args.format == "csv":
-        lines = ["statistic,value"]
-        lines.append(f"mean,{report.mean!r}")
-        lines.append(f"variance,{report.variance!r}")
-        for r, v in enumerate(report.raw_moments, start=1):
-            lines.append(f"moment_{r},{v!r}")
-        for r, v in enumerate(report.factorial_moments, start=1):
-            lines.append(f"factorial_moment_{r},{v!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {
-            "mean": report.mean,
-            "variance": report.variance,
-            "raw_moments": list(report.raw_moments),
-            "factorial_moments": list(report.factorial_moments),
-        }
-        _emit(_json_report(payload, resolved), args.output)
-    return EXIT_OK
+    payload = {
+        "mean": report.mean,
+        "variance": report.variance,
+        "raw_moments": list(report.raw_moments),
+        "factorial_moments": list(report.factorial_moments),
+    }
+    rows = [("mean", report.mean), ("variance", report.variance)]
+    rows += [(f"moment_{r}", v) for r, v in enumerate(report.raw_moments, start=1)]
+    rows += [(f"factorial_moment_{r}", v) for r, v in enumerate(report.factorial_moments, start=1)]
+    return {"t": t, "r_max": r_max}, payload, ("statistic", "value"), rows
 
 
-def cmd_pgf(args):
-    raw = _load_config(args.config)
-    model, alpha, t = _resolve(raw)
+def cmd_pgf(args, raw, model, alpha, t):
     u_values = _field(raw, "u", [round(0.1 * i, 1) for i in range(11)], _float_list)
-    rows = [(u, dist.pgf(model, alpha, t, u)) for u in u_values]
-    resolved = {"intensity": model.to_config(), "alpha": alpha, "t": t, "u": u_values}
-    if args.format == "csv":
-        lines = ["u,pgf,alpha,t"]
-        for u, g in rows:
-            lines.append(f"{u!r},{g!r},{alpha!r},{t!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {"pgf": [{"u": u, "value": g} for u, g in rows]}
-        _emit(_json_report(payload, resolved), args.output)
-    return EXIT_OK
+    values = [(u, dist.pgf(model, alpha, t, u)) for u in u_values]
+    payload = {"pgf": [{"u": u, "value": g} for u, g in values]}
+    rows = [(u, g, alpha, t) for u, g in values]
+    return {"t": t, "u": u_values}, payload, ("u", "pgf", "alpha", "t"), rows
 
 
-def cmd_simulate(args):
-    raw = _load_config(args.config)
-    model, alpha, t = _resolve(raw)
+def cmd_simulate(args, raw, model, alpha, t):
     try:
         cfg = sim.SamplerConfig(
             seed=args.seed,
@@ -186,40 +180,31 @@ def cmd_simulate(args):
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     report = sim.mc_pmf(model, alpha, t, cfg)
-    resolved = {
-        "intensity": model.to_config(),
-        "alpha": alpha,
+    fields = {
         "t": t,
         "seed": report.seed,
         "n_samples": report.n_samples,
         "workers": report.workers,
         "method": report.method,
     }
-    if args.format == "csv":
-        lines = ["n,p_hat,se"]
-        for n, (p, se) in enumerate(zip(report.empirical_pmf, report.pmf_se)):
-            lines.append(f"{n},{float(p)!r},{float(se)!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {
-            "empirical_pmf": [float(p) for p in report.empirical_pmf],
-            "pmf_se": [float(s) for s in report.pmf_se],
-            "sample_mean": report.sample_mean,
-            "mean_se": report.mean_se,
-            "sample_var": report.sample_var,
-            "var_se": report.var_se,
-        }
-        _emit(_json_report(payload, resolved), args.output)
-    return EXIT_OK
+    pmf = [float(p) for p in report.empirical_pmf]
+    pmf_se = [float(s) for s in report.pmf_se]
+    payload = {
+        "empirical_pmf": pmf,
+        "pmf_se": pmf_se,
+        "sample_mean": report.sample_mean,
+        "mean_se": report.mean_se,
+        "sample_var": report.sample_var,
+        "var_se": report.var_se,
+    }
+    rows = [(n, p, se) for n, (p, se) in enumerate(zip(pmf, pmf_se))]
+    return fields, payload, ("n", "p_hat", "se"), rows
 
 
-def cmd_dependence(args):
-    raw = _load_config(args.config)
-    model, alpha, _ = _resolve(raw)
+def cmd_dependence(args, raw, model, alpha, _t):
+    # the config's t plays no part: the times come from --s and the grid
     s = args.s
-    resolved = {
-        "intensity": model.to_config(),
-        "alpha": alpha,
+    fields = {
         "mode": args.mode,
         "s": s,
         "delta": args.delta,
@@ -228,28 +213,17 @@ def cmd_dependence(args):
         "points": args.points,
     }
     if args.mode == "slope":
-        rows = [
-            ("process", dep.corr_decay_exponent(model, alpha, s, args.t_min, args.t_max, args.points)),
-            (
-                "increment",
-                dep.increment_corr_decay_exponent(
-                    model, alpha, s, args.delta, args.t_min, args.t_max, args.points
-                ),
+        slopes = {
+            "process": dep.corr_decay_exponent(model, alpha, s, args.t_min, args.t_max, args.points),
+            "increment": dep.increment_corr_decay_exponent(
+                model, alpha, s, args.delta, args.t_min, args.t_max, args.points
             ),
-        ]
-        if args.format == "csv":
-            lines = ["curve,s,delta,slope"]
-            for curve, slope in rows:
-                lines.append(f"{curve},{s!r},{args.delta!r},{slope!r}")
-            _emit("\n".join(lines) + "\n", args.output)
-        else:
-            payload = {"slopes": {curve: slope for curve, slope in rows}}
-            _emit(_json_report(payload, resolved), args.output)
-        return EXIT_OK
+        }
+        rows = [(curve, s, args.delta, slope) for curve, slope in slopes.items()]
+        return fields, {"slopes": slopes}, ("curve", "s", "delta", "slope"), rows
 
-    grid = dep.geometric_grid(args.t_min, args.t_max, args.points)
-    out_rows = []
-    for t in grid:
+    pairs = []
+    for t in dep.geometric_grid(args.t_min, args.t_max, args.points):
         t = float(t)
         lo, hi = min(s, t), max(s, t)
         if args.mode == "process":
@@ -258,21 +232,9 @@ def cmd_dependence(args):
         else:
             cov = dep.cov_increment(model, alpha, lo, hi, args.delta)
             corr = dep.corr_increment(model, alpha, lo, hi, args.delta)
-        out_rows.append((s, t, cov, corr))
-    if args.format == "csv":
-        lines = ["s,t,cov,corr,mode"]
-        for s_, t_, cov, corr in out_rows:
-            lines.append(f"{s_!r},{t_!r},{cov!r},{corr!r},{args.mode}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        payload = {
-            "pairs": [
-                {"s": s_, "t": t_, "cov": cov, "corr": corr}
-                for s_, t_, cov, corr in out_rows
-            ]
-        }
-        _emit(_json_report(payload, resolved), args.output)
-    return EXIT_OK
+        pairs.append({"s": s, "t": t, "cov": cov, "corr": corr})
+    rows = [(p["s"], p["t"], p["cov"], p["corr"], args.mode) for p in pairs]
+    return fields, {"pairs": pairs}, ("s", "t", "cov", "corr", "mode"), rows
 
 
 def cmd_validate(args):
@@ -281,16 +243,12 @@ def cmd_validate(args):
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
-    lines = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.detail}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+        sys.stdout.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     if args.output:
         payload = {
             "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
+                {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
                 for r in results
             ]
         }
@@ -312,46 +270,42 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, compute):
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--output", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=_run_model_command, compute=compute)
 
     p = sub.add_parser("pmf", help="exact count distribution at a fixed time")
-    common(p)
+    common(p, cmd_pmf)
     p.add_argument(
         "--formula",
         choices=("lambda", "theta", "composition"),
         default="lambda",
         help="computation path (theta/composition are slow oracle paths)",
     )
-    p.set_defaults(func=cmd_pmf)
 
     p = sub.add_parser("moments", help="mean, variance, raw and factorial moments")
-    common(p)
-    p.set_defaults(func=cmd_moments)
+    common(p, cmd_moments)
 
     p = sub.add_parser("pgf", help="probability generating function values")
-    common(p)
-    p.set_defaults(func=cmd_pgf)
+    common(p, cmd_pgf)
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling of counts")
-    common(p)
+    common(p, cmd_simulate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--method", choices=tuple(_METHOD_FLAGS), default="time-change")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("dependence", help="covariance/correlation structure")
-    common(p)
+    common(p, cmd_dependence)
     p.add_argument("--mode", choices=("process", "increment", "slope"), default="process")
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--t-min", type=float, default=1e2, dest="t_min")
     p.add_argument("--t-max", type=float, default=1e6, dest="t_max")
     p.add_argument("--points", type=int, default=17)
     p.add_argument("--delta", type=float, default=1.0)
-    p.set_defaults(func=cmd_dependence)
 
     p = sub.add_parser("validate", help="run the built-in invariant suite")
     p.add_argument("--config", help="unused; accepted for interface uniformity")

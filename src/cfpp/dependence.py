@@ -45,10 +45,14 @@ class DependenceParams:
         ga = math.gamma(alpha + 1.0)
         sl = model.sum_lambda()
         sjl = model.sum_j_lambda()
+        try:
+            var_quad = (2.0 / math.gamma(2.0 * alpha + 1.0) - 1.0 / ga**2) * sl**2
+        except OverflowError as exc:
+            raise DomainError(f"second-order coefficients overflow at sum lambda_j = {sl}") from exc
         return cls(
             alpha=alpha,
             mean_coeff=sl / ga,
-            var_quad=(2.0 / math.gamma(2.0 * alpha + 1.0) - 1.0 / ga**2) * sl**2,
+            var_quad=var_quad,
             var_lin=(sl + 2.0 * sjl) / ga,
             sum_lambda=sl,
         )

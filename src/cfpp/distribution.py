@@ -15,8 +15,6 @@ as cross-checking oracles.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,8 +60,8 @@ class MomentReport:
 def _validate_common(model, alpha, t):
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and nonnegative, got {t}")
     if not isinstance(model, (intens.FiniteIntensity, intens.GeometricIntensity)):
         raise DomainError(f"not an intensity model: {model!r}")
 
@@ -121,7 +119,10 @@ def _chernoff_n(model, alpha, t, tail_tol):
         arg = t**alpha * intens.delta_series(model, u)
         if not 0 < arg <= 45.0:
             continue
-        log_pgf = arg ** (1.0 / alpha) - math.log(alpha)
+        try:
+            log_pgf = arg ** (1.0 / alpha) - math.log(alpha)
+        except OverflowError:  # small alpha: the bound says nothing at this tilt
+            continue
         n = math.ceil((log_pgf - math.log(tail_tol)) / math.log(u))
         best = min(best, n)
     return best
@@ -336,12 +337,18 @@ def var_cfpp(model, alpha: float, t: float) -> float:
     ga = math.gamma(alpha + 1.0)
     sl = model.sum_lambda()
     sjl = model.sum_j_lambda()
-    return (
-        ta * sl / ga
-        + 2.0 * ta * sjl / ga
-        + 2.0 * (ta * sl) ** 2 / math.gamma(2.0 * alpha + 1.0)
-        - (ta * sl) ** 2 / ga**2
-    )
+    try:
+        var = (
+            ta * sl / ga
+            + 2.0 * ta * sjl / ga
+            + 2.0 * (ta * sl) ** 2 / math.gamma(2.0 * alpha + 1.0)
+            - (ta * sl) ** 2 / ga**2
+        )
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):
+        raise DomainError(f"the variance overflows at t={t}")
+    return var
 
 
 def _moments(model, alpha, t, r_max):
@@ -388,30 +395,3 @@ def moment_report(model, alpha: float, t: float, r_max: int = 4) -> MomentReport
         raw_moments=tuple(float(v) for v in raw[1:]),
         factorial_moments=tuple(float(v) for v in fact[1:]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Export helpers
-# ---------------------------------------------------------------------------
-
-
-def state_distribution_csv(sd: StateDistribution) -> str:
-    buf = io.StringIO()
-    buf.write("n,p,formula,alpha,t\n")
-    for n, p in enumerate(sd.probs):
-        buf.write(f"{n},{float(p)!r},{sd.formula},{sd.alpha!r},{sd.t!r}\n")
-    return buf.getvalue()
-
-
-def state_distribution_json(sd: StateDistribution, metadata: dict | None = None) -> str:
-    doc = {
-        "alpha": sd.alpha,
-        "t": sd.t,
-        "formula": sd.formula,
-        "n_max": sd.n_max,
-        "truncation_mass": sd.truncation_mass,
-        "probs": [float(p) for p in sd.probs],
-    }
-    if metadata:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -8,8 +8,10 @@ Two exact samplers are provided for the count at a fixed time t:
   pass t, scoring one iid jump per renewal as it arrives.
 
 Reproducibility contract: worker w draws from the substream spawned from
-(seed, w) and contributes ceil(n_samples / workers) samples; results are
-merged in worker order, so a report depends only on (seed, workers).
+(seed, w) and contributes n_samples // workers samples, one more for the
+first n_samples % workers workers, so a report holds exactly n_samples
+counts; results are merged in worker order, so a report depends only on
+(seed, n_samples, workers).
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ import numpy as np
 
 from . import intensity as intens
 from .errors import DomainError
+
+# Ceiling on the expected number of jumps one batch draws; the time-change
+# sampler holds them all at once (1e8 int64 jumps are about 0.8 GB).
+MAX_EXPECTED_JUMPS = 1e8
 
 METHOD_TIME_CHANGE = "TimeChange"
 METHOD_RENEWAL = "RenewalCompound"
@@ -182,9 +188,13 @@ def _jump_totals(jump_sampler, counts, rng):
 
 
 def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
-    """Vector of `size` iid counts at time t."""
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    """Vector of `size` iid counts at time t.
+
+    Refused with DomainError when the expected number of jumps,
+    size lambda_0 t^alpha / Gamma(1 + alpha), exceeds MAX_EXPECTED_JUMPS.
+    """
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be finite and nonnegative, got {t}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if method not in _METHODS:
@@ -192,10 +202,19 @@ def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
     if t == 0:
         return np.zeros(size, dtype=np.int64)
     lam0 = model.lambda_at(0)
+    expected_jumps = size * lam0 * t**alpha / math.gamma(1.0 + alpha)
+    if expected_jumps > MAX_EXPECTED_JUMPS:
+        raise DomainError(
+            f"{size} samples at t={t} expect {expected_jumps:.3g} jumps, "
+            f"more than {MAX_EXPECTED_JUMPS:.0e}"
+        )
     sampler = JumpSampler(model)
     if method == METHOD_TIME_CHANGE:
         h = sample_inverse_stable(alpha, t, rng, size)
-        n_events = rng.poisson(lam0 * h)
+        try:
+            n_events = rng.poisson(lam0 * h)
+        except ValueError as exc:  # NaN or huge rates: the stable draws broke down
+            raise DomainError(f"no Poisson draw at alpha={alpha}, t={t}: {exc}") from exc
         return _jump_totals(sampler, n_events, rng)
     # Renewal route: draw each event's jump together with its waiting time,
     # so runs with the same seed give nested paths as t grows.
@@ -217,12 +236,12 @@ def sample_cfpp(model, alpha, t, rng, method=METHOD_TIME_CHANGE):
 
 
 def _all_counts(model, alpha, t, cfg):
-    per_worker = math.ceil(cfg.n_samples / cfg.workers)
+    base, extra = divmod(cfg.n_samples, cfg.workers)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
 
     def draw(w):
         rng = np.random.default_rng(streams[w])
-        return sample_cfpp_batch(model, alpha, t, rng, per_worker, cfg.method)
+        return sample_cfpp_batch(model, alpha, t, rng, base + (w < extra), cfg.method)
 
     if cfg.workers == 1:
         chunks = [draw(0)]

@@ -1,12 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfpp
 from cfpp import __version__
@@ -14,6 +17,8 @@ from cfpp.cli import EXIT_BAD_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION_FAI
 from cfpp.distribution import pmf_cfpp, var_cfpp
 from cfpp.intensity import GeometricIntensity
 from cfpp.special import MLParams, ml_three
+
+_GEO = {"type": "geometric", "lambda0": 1.0, "q": 0.5}
 
 
 @pytest.fixture
@@ -43,8 +48,10 @@ class TestPmfCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,p,formula,alpha,t"
         exact = pmf_cfpp(GeometricIntensity(1.0, 0.5), 0.7, 1.0)
-        first = lines[1].split(",")
-        np.testing.assert_allclose(float(first[1]), exact.probs[0], rtol=1e-15)
+        assert len(lines) == len(exact.probs) + 1
+        n, p, formula, alpha, t = lines[1].split(",")
+        assert (n, formula, alpha, t) == ("0", "LambdaSum", "0.7", "1.0")
+        np.testing.assert_allclose(float(p), exact.probs[0], rtol=1e-15)
 
     def test_tfpp_config_matches_closed_form(self, tfpp_config, capsys):
         assert main(["pmf", "--config", tfpp_config]) == EXIT_OK
@@ -83,15 +90,15 @@ class TestPmfCommand:
         assert "numeric error" in capsys.readouterr().err
 
     def test_moment_overflow_exits_3(self, tmp_path, capsys):
-        # t^(r alpha) overflows for the orders r <= 4 that `moments` reports
+        # t^(r alpha) overflows for the orders r <= 4 that `moments` reports;
+        # at r_max = 1 the first moment is finite but the variance overflows
         cfg = tmp_path / "far.json"
-        cfg.write_text(
-            json.dumps({"intensity": {"type": "geometric", "lambda0": 1.0, "q": 0.5}, "t": 1e150})
-        )
-        assert main(["moments", "--config", str(cfg)]) == EXIT_NUMERIC
-        captured = capsys.readouterr()
-        assert captured.err.startswith("numeric error")
-        assert captured.out == ""
+        for doc in ({"intensity": _GEO, "t": 1e150}, {"intensity": _GEO, "r_max": 1, "t": 1e200, "alpha": 1}):
+            cfg.write_text(json.dumps(doc))
+            assert main(["moments", "--config", str(cfg)]) == EXIT_NUMERIC
+            captured = capsys.readouterr()
+            assert captured.err.startswith("numeric error")
+            assert captured.out == ""
 
 
 class TestBadConfigFields:
@@ -118,6 +125,79 @@ class TestBadConfigFields:
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg)]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+
+
+_BAD = st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e300, "x", None, [1.0]])
+
+
+@st.composite
+def _invocations(draw):
+    """(subcommand, config, extra arguments) drawn across good and bad inputs.
+
+    Valid intensities stay at lambda_0 <= 3 with q <= 0.9 and valid times
+    at t <= 10 or t >= 1e100: in between, `simulate` may legitimately draw
+    up to simulate.MAX_EXPECTED_JUMPS jumps, which costs seconds and GB.
+    The theta and composition pmf paths are slow oracles and are not drawn.
+    """
+    number = st.one_of(st.floats(0.05, 3.0), _BAD)
+    intensity = st.one_of(
+        st.fixed_dictionaries(
+            {"type": st.just("geometric"), "lambda0": number, "q": st.one_of(st.floats(0.0, 0.9), _BAD)}
+        ),
+        st.fixed_dictionaries(
+            {"type": st.just("finite"), "values": st.one_of(st.lists(number, max_size=4), _BAD)}
+        ),
+        st.sampled_from([{"type": "bogus"}, {}, "geometric", None]),
+    )
+    config = draw(
+        st.fixed_dictionaries(
+            {"intensity": intensity},
+            optional={
+                "alpha": st.one_of(st.floats(0.0, 1.0), _BAD),
+                "t": st.one_of(st.floats(0.0, 10.0), st.floats(1e100, 1e200), _BAD),
+                "r_max": st.one_of(st.integers(0, 8), _BAD),
+                "n_max": st.one_of(st.integers(-1, 130), _BAD),
+                "u": st.one_of(st.lists(st.one_of(st.floats(-1.5, 1.5), _BAD), max_size=3), _BAD),
+            },
+        )
+    )
+    command = draw(st.sampled_from(["pmf", "moments", "pgf", "simulate", "dependence", "validate"]))
+    if command == "validate":
+        return command, config, ["--mc-samples", str(draw(st.integers(0, 300)))]
+    extra = ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "simulate":
+        extra += [
+            "--samples", str(draw(st.integers(-1, 50))),
+            "--workers", str(draw(st.integers(0, 3))),
+            "--method", draw(st.sampled_from(["time-change", "renewal"])),
+        ]
+    elif command == "dependence":
+        extra += ["--mode", draw(st.sampled_from(["process", "increment", "slope"]))]
+    return command, config, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invocations())
+@example(("moments", {"intensity": _GEO, "r_max": 1, "t": 1e200, "alpha": 1.0}, []))
+@example(("pmf", {"intensity": _GEO, "t": 1e200, "alpha": 1.0}, []))
+@example(("simulate", {"intensity": _GEO, "t": 1e150, "alpha": 0.5}, ["--samples", "10"]))
+@example(("validate", {}, ["--mc-samples", "200"]))
+@example(("dependence", {"intensity": dict(_GEO, lambda0=1e300), "alpha": 0.5}, []))
+@example(("simulate", {"intensity": _GEO, "alpha": 1e-300}, ["--samples", "3"]))
+@example(("pmf", {"intensity": dict(_GEO, lambda0=2.0, q=0.0), "alpha": 2.0**-8}, []))
+@example(("pmf", {"intensity": _GEO, "n_max": math.inf}, []))
+def test_fuzzed_invocations_exit_with_a_documented_code(tmp_path_factory, invocation):
+    # 0 ok, 2 bad config, 3 numeric error; 1 only for a failed validation
+    # suite.  Anything else, or an exception escaping main, is a defect.
+    command, config, extra = invocation
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg), *extra, "--output", str(work / "out")]
+    allowed = {EXIT_OK, EXIT_BAD_CONFIG, EXIT_NUMERIC}
+    if command == "validate":
+        allowed.add(EXIT_VALIDATION_FAILED)
+    assert main(argv) in allowed
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -206,11 +286,15 @@ class TestDependenceCommand:
 
 
 class TestValidateCommand:
-    def test_default_suite_passes(self, capsys):
-        assert main(["validate", "--mc-samples", "20000"]) == EXIT_OK
+    def test_default_suite_passes(self, tmp_path, capsys):
+        report = tmp_path / "validate.json"
+        assert main(["validate", "--mc-samples", "20000", "--output", str(report)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS normalization" in out
         assert "FAIL" not in out
+        doc = json.loads(report.read_text())
+        assert doc["config"]["mc_samples"] == 20000
+        assert [c["passed"] for c in doc["checks"]] == [True] * len(out.splitlines())
 
     def test_corrupted_tolerance_fails(self, capsys):
         assert (

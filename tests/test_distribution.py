@@ -1,5 +1,6 @@
 """State probabilities, generating functions, transforms, and moments."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cfpp.cli import EXIT_OK, main
 from cfpp.distribution import (
     FORMULA_CPP,
     factorial_moment,
@@ -24,7 +26,6 @@ from cfpp.distribution import (
     pmf_cfpp_theta,
     pmf_cpp,
     pmf_tfpp,
-    state_distribution_csv,
     var_cfpp,
 )
 from cfpp.errors import DomainError
@@ -107,6 +108,10 @@ class TestStateProbabilities:
             pmf_cfpp(GEO, 1.2, 1.0, 4)
         with pytest.raises(DomainError):
             pmf_cfpp(GEO, 0.5, -1.0, 4)
+        for t in (math.nan, math.inf):
+            for fn in (pmf_cfpp, mean_cfpp, var_cfpp):
+                with pytest.raises(DomainError):
+                    fn(GEO, 0.5, t)
 
 
 class TestCppReduction:
@@ -381,10 +386,14 @@ class TestSizingAndExport:
         np.testing.assert_allclose(sums[:8], 1.0, rtol=1e-12)
         assert np.all((J >= 0) & (J <= 1))
 
-    def test_csv_schema(self):
+    def test_csv_schema(self, tmp_path):
+        # the pmf CSV is written by the CLI; a config n_max sizes its rows
+        cfg = tmp_path / "geo.json"
+        cfg.write_text(json.dumps({"intensity": GEO.to_config(), "alpha": 0.7, "t": 1.0, "n_max": 3}))
+        out = tmp_path / "pmf.csv"
+        assert main(["pmf", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
         sd = pmf_cfpp(GEO, 0.7, 1.0, 3)
-        text = state_distribution_csv(sd)
-        lines = text.strip().split("\n")
+        lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,p,formula,alpha,t"
         assert len(lines) == 5
         n, p, formula, alpha, t = lines[1].split(",")

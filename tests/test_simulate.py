@@ -211,7 +211,7 @@ class TestMonteCarloReports:
     def test_worker_partitioning(self):
         cfg = SamplerConfig(seed=1, n_samples=10, workers=3)
         rep = mc_pmf(GEO, 0.7, 1.0, cfg)
-        assert rep.n_samples == 12  # 3 workers x ceil(10 / 3)
+        assert rep.n_samples == 10  # workers draw 4, 3 and 3
 
     def test_pmf_normalization_and_se(self):
         cfg = SamplerConfig(seed=5, n_samples=20_000, workers=2)
@@ -236,6 +236,11 @@ class TestMonteCarloReports:
             SamplerConfig(seed=1, method="bogus")
         with pytest.raises(DomainError):
             sample_cfpp_batch(GEO, 0.7, 1.0, np.random.default_rng(0), 10, "bogus")
+        # non-finite times, and times whose expected jump count no batch can hold
+        for t in (math.nan, math.inf, 1e150):
+            for method in (METHOD_TIME_CHANGE, METHOD_RENEWAL):
+                with pytest.raises(DomainError):
+                    sample_cfpp_batch(GEO, 0.5, t, np.random.default_rng(0), 10, method)
 
 
 class TestAliasTableInternals:
