@@ -65,8 +65,18 @@ def _field(raw, name, default, convert):
         raise ConfigError(f"{name}: cannot use {value!r}: {exc}") from exc
 
 
+def _count(value):
+    """An integral number as int: 1.7 and true are not counts."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a count")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _float_list(value):
-    return [float(value)] if np.isscalar(value) else [float(v) for v in value]
+    values = [value] if np.isscalar(value) else value
+    return [intens.config_number(v) for v in values]
 
 
 def _resolve(raw):
@@ -75,10 +85,10 @@ def _resolve(raw):
         model = _field(raw, "intensity", {}, intens.from_config)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    alpha = _field(raw, "alpha", 1.0, float)
+    alpha = _field(raw, "alpha", 1.0, intens.config_number)
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    t = _field(raw, "t", 1.0, float)
+    t = _field(raw, "t", 1.0, intens.config_number)
     if not 0 <= t < math.inf:
         raise ConfigError(f"t must be finite and nonnegative, got {t}")
     return model, alpha, t
@@ -135,7 +145,7 @@ _PMF_ENGINES = {
 
 
 def cmd_pmf(args, raw, model, alpha, t):
-    n_max = None if raw.get("n_max") is None else _field(raw, "n_max", None, int)
+    n_max = None if raw.get("n_max") is None else _field(raw, "n_max", None, _count)
     sd = _PMF_ENGINES[args.formula](model, alpha, t, n_max)
     probs = [float(p) for p in sd.probs]
     fields = {"t": t, "n_max": sd.n_max, "formula": sd.formula}
@@ -145,7 +155,7 @@ def cmd_pmf(args, raw, model, alpha, t):
 
 
 def cmd_moments(args, raw, model, alpha, t):
-    r_max = _field(raw, "r_max", 4, int)
+    r_max = _field(raw, "r_max", 4, _count)
     if not 1 <= r_max <= dist.R_MAX:
         raise ConfigError(f"r_max must lie in 1..{dist.R_MAX}, got {r_max}")
     report = dist.moment_report(model, alpha, t, r_max)

@@ -164,6 +164,13 @@ def deltas(model: IntensityModel, n: int) -> list:
     return [delta(model, j) for j in range(1, n + 1)]
 
 
+def config_number(value) -> float:
+    """A config value as float; a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise DomainError(f"a boolean is not a number, got {value!r}")
+    return float(value)
+
+
 def from_config(config: dict) -> IntensityModel:
     """Build a model from {"type": "geometric", "lambda0": .., "q": ..} or
     {"type": "finite", "values": [..]}."""
@@ -173,12 +180,13 @@ def from_config(config: dict) -> IntensityModel:
         raise DomainError("intensity config needs a 'type' field") from None
     if kind == "geometric":
         try:
-            return GeometricIntensity(float(config["lambda0"]), float(config["q"]))
+            lambda0, q = config["lambda0"], config["q"]
+            return GeometricIntensity(config_number(lambda0), config_number(q))
         except KeyError as exc:
             raise DomainError(f"geometric intensity config missing {exc}") from None
     if kind == "finite":
         try:
-            return FiniteIntensity(config["values"])
+            return FiniteIntensity([config_number(v) for v in config["values"]])
         except KeyError as exc:
             raise DomainError(f"finite intensity config missing {exc}") from None
     raise DomainError(f"unknown intensity type {kind!r}")

@@ -25,9 +25,11 @@ import numpy as np
 from . import intensity as intens
 from .errors import DomainError
 
-# Ceiling on the expected number of jumps one batch draws; the time-change
-# sampler holds them all at once (1e8 int64 jumps are about 0.8 GB).
-MAX_EXPECTED_JUMPS = 1e8
+# Ceiling on the expected sum of the counts one batch draws.  Every jump is at
+# least 1, so it also caps the jumps, which the time-change sampler holds all
+# at once, and the largest count, which sizes the report's bincount (1e8
+# int64 jumps or float64 bins are about 0.8 GB).
+MAX_EXPECTED_COUNT_TOTAL = 1e8
 
 METHOD_TIME_CHANGE = "TimeChange"
 METHOD_RENEWAL = "RenewalCompound"
@@ -190,8 +192,9 @@ def _jump_totals(jump_sampler, counts, rng):
 def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
     """Vector of `size` iid counts at time t.
 
-    Refused with DomainError when the expected number of jumps,
-    size lambda_0 t^alpha / Gamma(1 + alpha), exceeds MAX_EXPECTED_JUMPS.
+    Refused with DomainError, before anything is drawn, when the expected
+    sum of the counts, size t^alpha sum_j lambda_j / Gamma(1 + alpha),
+    exceeds MAX_EXPECTED_COUNT_TOTAL.
     """
     if not 0 <= t < math.inf:
         raise DomainError(f"t must be finite and nonnegative, got {t}")
@@ -202,11 +205,11 @@ def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
     if t == 0:
         return np.zeros(size, dtype=np.int64)
     lam0 = model.lambda_at(0)
-    expected_jumps = size * lam0 * t**alpha / math.gamma(1.0 + alpha)
-    if expected_jumps > MAX_EXPECTED_JUMPS:
+    expected_total = size * t**alpha * model.sum_lambda() / math.gamma(1.0 + alpha)
+    if expected_total > MAX_EXPECTED_COUNT_TOTAL:
         raise DomainError(
-            f"{size} samples at t={t} expect {expected_jumps:.3g} jumps, "
-            f"more than {MAX_EXPECTED_JUMPS:.0e}"
+            f"{size} samples at t={t} expect counts summing to {expected_total:.3g}, "
+            f"more than {MAX_EXPECTED_COUNT_TOTAL:.0e}"
         )
     sampler = JumpSampler(model)
     if method == METHOD_TIME_CHANGE:

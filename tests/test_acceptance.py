@@ -14,24 +14,17 @@ import numpy as np
 from scipy import integrate
 
 import cfpp
+from cfpp import validate as val
 from cfpp import (
     FiniteIntensity,
     GeometricIntensity,
-    SamplerConfig,
-    corr_cfpp,
-    corr_decay_exponent,
     factorial_moment,
-    increment_corr_decay_exponent,
-    lrd_constant,
     mean_cfpp,
-    mc_pmf,
     ml_deriv,
     ml_three,
     ml_two,
     moment,
     pmf_cfpp,
-    pmf_cfpp_composition,
-    pmf_cfpp_theta,
     pmf_cpp,
     sample_inverse_stable,
     var_cfpp,
@@ -39,16 +32,9 @@ from cfpp import (
 from cfpp.cli import EXIT_OK, main
 from cfpp.distribution import jump_sum_pmf, laplace_pmf
 from cfpp.partitions import bell_ordinary, enumerate_lambda, enumerate_theta
-from cfpp.simulate import METHOD_RENEWAL, METHOD_TIME_CHANGE
 from cfpp.special import MLParams
+from cfpp.validate import GRID_ALPHAS, GRID_MODELS, GRID_TIMES
 
-GRID_ALPHAS = (0.5, 0.7, 1.0)
-GRID_MODELS = (
-    GeometricIntensity(1.0, 0.5),
-    FiniteIntensity([1.0]),
-    FiniteIntensity([2.0, 1.0, 0.5]),
-)
-GRID_TIMES = (0.5, 1.0, 5.0)
 MC_SEED = 99
 
 
@@ -59,29 +45,16 @@ def _report(number, name, detail, elapsed, budget):
 
 def test_criterion_01_pmf_validity():
     start = time.monotonic()
-    worst = 0.0
-    for alpha in GRID_ALPHAS:
-        for model in GRID_MODELS:
-            for t in GRID_TIMES:
-                sd = pmf_cfpp(model, alpha, t)  # auto-sized n_max
-                assert sd.probs.sum() >= 1.0 - 1e-6
-                assert np.all(sd.probs >= 0)
-                worst = max(worst, sd.truncation_mass)
-    _report(1, "pmf validity", f"worst missing mass {worst:.2e} (tol 1e-6)",
+    m = val.measure_normalization()  # auto-sized n_max over the grid
+    assert m.worst <= 1e-6  # every case sums to >= 1 - 1e-6
+    assert m.extra["min_prob"] >= 0
+    _report(1, "pmf validity", f"worst missing mass {m.worst:.2e} (tol 1e-6)",
             time.monotonic() - start, 10.0)
 
 
 def test_criterion_02_three_formula_equivalence():
     start = time.monotonic()
-    worst = 0.0
-    for alpha in GRID_ALPHAS:
-        for model in GRID_MODELS:
-            for t in GRID_TIMES:
-                a = pmf_cfpp(model, alpha, t, 12).probs
-                b = pmf_cfpp_theta(model, alpha, t, 12).probs
-                c = pmf_cfpp_composition(model, alpha, t, 12).probs
-                for x, y in ((a, b), (b, c), (a, c)):
-                    worst = max(worst, float(np.abs(x - y).max()))
+    worst = val.measure_three_way_equivalence().worst  # n <= 12 over the grid
     assert worst <= 1e-10
     _report(2, "three-formula equivalence", f"worst pairwise gap {worst:.2e} (tol 1e-10)",
             time.monotonic() - start, 5.0)
@@ -150,17 +123,8 @@ def test_criterion_04_laplace_cross_check():
 
 def test_criterion_05_moments():
     start = time.monotonic()
-    worst_ident = 0.0
-    for alpha in GRID_ALPHAS:
-        for model in GRID_MODELS:
-            for t in GRID_TIMES:
-                m1 = moment(model, alpha, t, 1)
-                m2 = moment(model, alpha, t, 2)
-                worst_ident = max(
-                    worst_ident,
-                    abs(m1 - mean_cfpp(model, alpha, t)),
-                    abs(m2 - m1**2 - var_cfpp(model, alpha, t)),
-                )
+    # |m1 - mean|, |m2 - m1^2 - var| and |cov(t, t) - var| over the grid
+    worst_ident = val.measure_variance_consistency().worst
     assert worst_ident <= 1e-10
 
     worst_pmf = 0.0
@@ -187,36 +151,12 @@ def test_criterion_05_moments():
 
 def test_criterion_06_monte_carlo_agreement():
     start = time.monotonic()
-    worst = 0.0
-    where = ""
-    chi2_max = 0.0
-    for alpha in GRID_ALPHAS:
-        for q in (0.0, 0.5):
-            model = GeometricIntensity(1.0, q)
-            exact = pmf_cfpp(model, alpha, 1.0, 60)
-            for method in (METHOD_TIME_CHANGE, METHOD_RENEWAL):
-                cfg = SamplerConfig(seed=MC_SEED, n_samples=100_000, workers=4, method=method)
-                rep = mc_pmf(model, alpha, 1.0, cfg)
-                chi2 = 0.0
-                for n in range(11):
-                    p_hat = rep.empirical_pmf[n] if n < len(rep.empirical_pmf) else 0.0
-                    p = exact.probs[n]
-                    se = math.sqrt(p * (1 - p) / rep.n_samples)
-                    z = abs(p_hat - p) / se
-                    chi2 += rep.n_samples * (p_hat - p) ** 2 / p
-                    if z > worst:
-                        worst, where = z, f"alpha={alpha} q={q} {method} n={n}"
-                chi2_max = max(chi2_max, chi2)
-                z = abs(rep.sample_mean - mean_cfpp(model, alpha, 1.0)) / rep.mean_se
-                if z > worst:
-                    worst, where = z, f"alpha={alpha} q={q} {method} mean"
-                z = abs(rep.sample_var - var_cfpp(model, alpha, 1.0)) / rep.var_se
-                if z > worst:
-                    worst, where = z, f"alpha={alpha} q={q} {method} variance"
-    assert worst < 3.0, where
+    cases = [(GeometricIntensity(1.0, q), alpha) for alpha in GRID_ALPHAS for q in (0.0, 0.5)]
+    m = val.measure_mc_agreement(cases, 100_000, MC_SEED, workers=4)
+    assert m.worst < 3.0, m.where
     _report(6, "monte carlo agreement",
-            f"worst deviation {worst:.2f} SE at {where} (limit 3); "
-            f"family-wise chi-square <= {chi2_max:.1f} on 11 cells",
+            f"worst deviation {m.worst:.2f} SE at {m.where} (limit 3); "
+            f"family-wise chi-square <= {m.extra['chi2_max']:.1f} on 11 cells",
             time.monotonic() - start, 60.0)
 
 
@@ -259,15 +199,10 @@ def test_criterion_08_overdispersion():
 
 def test_criterion_09_lrd_exponent():
     start = time.monotonic()
-    model = GeometricIntensity(0.5, 0.9)
-    worst_slope = 0.0
-    worst_level = 0.0
-    for alpha in (0.5, 0.7, 0.9):
-        slope = corr_decay_exponent(model, alpha, 1.0, 1e2, 1e6, 17)
-        assert -1.0 < slope < 0.0
-        worst_slope = max(worst_slope, abs(slope + alpha))
-        ratio = corr_cfpp(model, alpha, 1.0, 1e6) / (lrd_constant(model, alpha, 1.0) * 1e6**-alpha)
-        worst_level = max(worst_level, abs(ratio - 1.0))
+    m = val.measure_process_slopes()  # alpha 0.5, 0.7, 0.9 on t in [1e2, 1e6]
+    assert all(-1.0 < slope < 0.0 for slope in m.extra["slopes"])
+    worst_slope = m.worst
+    worst_level = max(m.extra["level_errors"])
     assert worst_slope <= 0.05
     assert worst_level <= 0.05
     _report(9, "long-range dependence",
@@ -277,12 +212,9 @@ def test_criterion_09_lrd_exponent():
 
 def test_criterion_10_srd_exponent():
     start = time.monotonic()
-    model = GeometricIntensity(0.5, 0.9)
-    worst = 0.0
-    for alpha in (0.5, 0.7, 0.9):
-        slope = increment_corr_decay_exponent(model, alpha, 1.0, 1.0, 1e2, 1e6, 17)
-        assert 1.0 < -slope < 2.0  # short-range regime
-        worst = max(worst, abs(slope + (3.0 - alpha) / 2.0))
+    m = val.measure_increment_slopes()
+    assert all(1.0 < -slope < 2.0 for slope in m.extra["slopes"])  # short-range regime
+    worst = m.worst
     assert worst <= 0.05
     _report(10, "short-range dependence of increments",
             f"worst slope error {worst:.3f} (tol 0.05); decay order inside (1, 2)",

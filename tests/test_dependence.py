@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpp.dependence import (
     DependenceParams,
@@ -150,6 +152,28 @@ class TestProcessCovariance:
             c = corr_cfpp(GEO, 0.7, s, t)
             assert c == corr_cfpp(GEO, 0.7, t, s)
             assert 0 < c <= 1 + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        model=st.one_of(
+            st.builds(GeometricIntensity, st.floats(0.1, 2.0), st.floats(0.0, 0.9)),
+            st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4)
+            .map(lambda v: FiniteIntensity(sorted(v, reverse=True))),
+        ),
+        alpha=st.floats(0.1, 1.0),
+        times=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=8),
+    )
+    def test_covariance_matrix_is_symmetric_psd(self, model, alpha, times):
+        # cov_cfpp takes s <= t only; corr_cfpp takes the two times in either order
+        assert all(
+            corr_cfpp(model, alpha, s, t) == corr_cfpp(model, alpha, t, s)
+            for s in times for t in times
+        )
+        cov = np.array(
+            [[cov_cfpp(model, alpha, min(s, t), max(s, t)) for t in times] for s in times]
+        )
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() >= -1e-9 * eig.max()
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,10 @@ from cfpp.partitions import (
 def brute_force_vectors(n, k, length):
     """Exhaustive search over all candidate multiplicity vectors."""
     out = []
-    for vec in itertools.product(range(k + 1), repeat=length):
+    # position j holds at most min(k, n // (j + 1)): a larger entry alone
+    # breaks the count or the weight equation
+    box = [range(min(k, n // (j + 1)) + 1) for j in range(length)]
+    for vec in itertools.product(*box):
         if sum(vec) == k and sum((j + 1) * v for j, v in enumerate(vec)) == n:
             out.append(vec)
     return sorted(out)

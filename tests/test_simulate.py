@@ -242,6 +242,19 @@ class TestMonteCarloReports:
                 with pytest.raises(DomainError):
                     sample_cfpp_batch(GEO, 0.5, t, np.random.default_rng(0), 10, method)
 
+    def test_count_total_bound_refuses_before_drawing(self):
+        # q near 1 gives jumps of about 1e9, so ten samples expect counts that
+        # sum to about 1e10: more than a report's bincount can hold, although
+        # the expected number of jumps is only about 10
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"the batch drew {name} before refusing")
+
+        model = GeometricIntensity(1.0, 1.0 - 1e-9)
+        for method in (METHOD_TIME_CHANGE, METHOD_RENEWAL):
+            with pytest.raises(DomainError, match="summing to"):
+                sample_cfpp_batch(model, 0.7, 1.0, NoDraws(), 10, method)
+
 
 class TestAliasTableInternals:
     def test_alias_reproduces_law_exactly_in_expectation(self):
