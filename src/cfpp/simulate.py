@@ -262,9 +262,15 @@ def _report_from_counts(counts, cfg):
     mean = float(counts.mean())
     sd = float(counts.std(ddof=1)) if n > 1 else 0.0
     var = sd**2
-    centered = counts - mean
-    m4 = float(np.mean(centered**4))
-    var_se = math.sqrt(max(m4 - var**2, 0.0) / n)
+    var_se = 0.0
+    if n > 1:
+        # The unbiased Var(s^2) = (m4 - (n - 3)/(n - 1) s^4) / n, from the count
+        # histogram, as two terms that stay >= 0 in floating point: m4 - m2^2,
+        # the mean square of (squared deviation - m2), and (3n - 1)/(n - 1)^3
+        # m2^2.  It is 0 only when all counts are equal.
+        sq = (np.arange(freq.size) - mean) ** 2
+        m2 = float(freq @ sq) / n
+        var_se = math.sqrt((float(freq @ (sq - m2) ** 2) / n + (3 * n - 1) / (n - 1) ** 3 * m2**2) / n)
     return MCReport(
         empirical_pmf=pmf,
         pmf_se=pmf_se,

@@ -11,17 +11,23 @@ for alpha < 1 the value is the inverse Laplace transform at t = 1 of
 s^(alpha gamma - beta) / (s^alpha - x)^gamma, one trapezoid sum on a fixed
 parabolic Bromwich contour (Weideman and Trefethen, Math. Comp. 76 (2007)
 1341-1356; Garrappa, SIAM J. Numer. Anal. 53 (2015) 1350-1369).  The
-even-indexed nodes give the same rule at twice the step, and a gap above
-1e-12 between the two raises NonConvergenceError.  That happens near
-alpha = 1 at the top of the domain, where the transform has a
-near-singularity just across the branch cut.  Elsewhere: 1/Gamma(beta) at
-x = 0, the positive-term series for x > 0, and at alpha = 1 Kummer's
-function 1F1(gamma; beta; x) / Gamma(beta), or for the weight vector the
+contour is symmetric about the real axis and every transform here is real
+on it, so the sum runs over the 256 nodes in the upper half plane and
+doubles the real part of each node off the axis.  The even-indexed nodes
+give the same rule at twice the step; both sums come from one matrix
+product, and a gap above 1e-12 between them raises NonConvergenceError.
+That happens near alpha = 1 at the top of the domain, where the transform
+has a near-singularity just across the branch cut.  The node powers
+s^alpha and s^(alpha - 1) are cached per alpha.  Elsewhere: 1/Gamma(beta)
+at x = 0, the positive-term series for x > 0, and at alpha = 1
+e^x / Gamma(beta) when gamma = beta, Kummer's function
+1F1(gamma; beta; x) / Gamma(beta) otherwise, or for the weight vector the
 Poisson pmf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +39,19 @@ from .errors import DomainError, NonConvergenceError
 # than silently degrade.
 ML_MAX_ABS_ARGUMENT = 50.0
 
-# Contour s(theta) = 48 (0.1309 - 0.1194 theta^2 + 0.25 i theta) at
-# theta_j = -4 + j / 64, j = 1..511; e^s < 1e-37 beyond the last node.
-_THETA = np.arange(1, 512) / 64.0 - 4.0
+# Contour s(theta) = 48 (0.1309 - 0.1194 theta^2 + 0.25 i theta) on
+# -4 < theta < 4 at step h = 1/64; e^s < 1e-37 beyond theta = +-4.  The node
+# at -theta is the conjugate of the one at theta, and every transform here
+# is real on the real axis, so only the 256 nodes theta_k = k / 64,
+# k = 0..255, are kept and the nodes with k >= 1 count twice.
+_THETA = np.arange(256) / 64.0
 _S = 48.0 * (0.1309 - 0.1194 * _THETA**2 + 0.25j * _THETA)
-# e^s s'(theta) h / (2 pi i): the trapezoid weights of the inversion at t = 1
-_WEIGHTS = np.exp(_S) * 48.0 * (0.25j - 0.2388 * _THETA) / (64.0 * 2j * math.pi)
+# e^s s'(theta) h / (2 pi i), doubled for k >= 1: the trapezoid weights of
+# the inversion at t = 1.  Column 0 is the rule at step h, column 1 the rule
+# at step 2h, which takes the nodes with k even.
+_WEIGHTS = (np.exp(_S) * 48.0 * (0.25j - 0.2388 * _THETA) / (64.0 * 2j * math.pi)
+            * np.where(_THETA > 0.0, 2.0, 1.0))
+_W = np.stack([_WEIGHTS, np.where(np.arange(256) % 2 == 0, 2.0 * _WEIGHTS, 0.0)], axis=1)
 _CONTOUR_TOL = 1e-12
 
 
@@ -48,15 +61,23 @@ def _invert(transform):
     Raises NonConvergenceError where the sums at steps h and 2h differ by
     more than _CONTOUR_TOL relative to max(1, |value|).
     """
-    terms = transform * _WEIGHTS
-    full = terms.sum(axis=-1).real
-    half = 2.0 * terms[..., 1::2].sum(axis=-1).real  # the nodes with j even
-    err = np.max(np.abs(full - half) / np.maximum(1.0, np.abs(full)))
+    both = (transform @ _W).real
+    full = both[..., 0]
+    err = (abs(full - both[..., 1]) / np.maximum(1.0, abs(full))).max()
     if not err <= _CONTOUR_TOL:
         raise NonConvergenceError(
             f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
         )
     return full
+
+
+@functools.lru_cache(maxsize=8)
+def _node_powers(alpha):
+    """Read-only s^alpha and s^(alpha - 1) on the nodes."""
+    sa = _S**alpha
+    sa1 = sa / _S
+    sa.flags.writeable = sa1.flags.writeable = False
+    return sa, sa1
 
 
 @dataclass(frozen=True)
@@ -114,13 +135,19 @@ def ml_three(params: MLParams, x: float) -> float:
     if x > 0.0:
         return _ml_positive_series(alpha, beta, gamma, x)
     if alpha == 1.0:
+        if gamma == beta:  # 1F1(beta; beta; x) = e^x
+            return math.exp(x) * inv_gamma_beta
         # imported here: scipy.special adds about 0.3 s to every cfpp process
         import scipy.special as sc
 
         return float(sc.hyp1f1(gamma, beta, x) * inv_gamma_beta)
     if alpha > 1.0:
         raise DomainError(f"negative arguments need alpha <= 1, got alpha={alpha}")
-    return float(_invert(_S ** (alpha * gamma - beta) / (_S**alpha - x) ** gamma))
+    sa, sa1 = _node_powers(alpha)
+    power = alpha * gamma - beta
+    top = sa1 if power == alpha - 1.0 else _S**power
+    bottom = sa - x if gamma == 1.0 else (sa - x) ** gamma
+    return float(_invert(top / bottom))
 
 
 def ml_two(alpha: float, beta: float, x: float) -> float:
@@ -148,8 +175,9 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
 
     These are the state probabilities of a fractional Poisson count with
     x = rate * t^alpha.  Their transforms s^(alpha-1) (x / (s^alpha + x))^k
-    / (s^alpha + x) differ by a power, so one cumulative product on the
-    contour gives the whole vector, to an estimated absolute error <= 1e-12.
+    / (s^alpha + x) differ by a power, so repeated multiplication on the
+    contour gives the rows of the whole vector, to an estimated absolute
+    error <= 1e-12.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
@@ -161,12 +189,15 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
         return np.eye(1, n_max + 1)[0]
     if alpha == 1.0:  # the Poisson pmf
         return np.exp([k * math.log(x) - x - math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    sa = _S**alpha
-    ratio = np.empty((n_max + 1, _S.size), dtype=complex)
-    ratio[0] = sa / (_S * (sa + x))
-    ratio[1:] = x / (sa + x)
+    sa, sa1 = _node_powers(alpha)
+    bottom = sa + x
+    ratio = x / bottom
+    rows = np.empty((n_max + 1, _S.size), dtype=complex)
+    rows[0] = sa1 / bottom
+    for k in range(1, n_max + 1):
+        np.multiply(rows[k - 1], ratio, out=rows[k])
     # rounding can leave a far-tail weight a few ulps of 1 below zero
-    return np.maximum(_invert(np.cumprod(ratio, axis=0)), 0.0)
+    return np.maximum(_invert(rows), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,11 @@ class TestValidateCommand:
         assert main(["validate", "--mc-samples", "200"]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_two_mc_samples_give_finite_deviations(self, capsys):
+        # two samples are too few to pass, but every standard error is > 0
+        assert main(["validate", "--mc-samples", "2"]) in (EXIT_OK, EXIT_VALIDATION_FAILED)
+        assert "inf" not in capsys.readouterr().out
+
     def test_corrupted_tolerance_fails(self, capsys):
         assert (
             main(["validate", "--mc-samples", "5000", "--tolerance-scale", "1e-6"])

@@ -1,6 +1,7 @@
 """Samplers against distributional oracles, plus reproducibility contracts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cfpp.simulate import (
     MCReport,
     SamplerConfig,
     JumpSampler,
+    _report_from_counts,
     mc_pmf,
     ml_waiting_time,
     sample_cfpp,
@@ -226,6 +228,23 @@ class TestMonteCarloReports:
         assert abs(rep.sample_mean - mean_cfpp(GEO, 0.7, 1.0)) < 3 * rep.mean_se
         assert abs(rep.sample_var - var_cfpp(GEO, 0.7, 1.0)) < 3 * rep.var_se
         assert isinstance(rep, MCReport)
+
+    @pytest.mark.parametrize("counts", [[0, 2], [1, 3, 7], [4, 0, 0, 9, 1]])
+    def test_variance_se_is_the_unbiased_estimate(self, counts):
+        # (m4 - (n-3)/(n-1) s^4) / n in exact rationals; 2-3 distinct counts
+        # give a positive SE, which m4 - s^4 (negative there) would not
+        n = len(counts)
+        mean = Fraction(sum(counts), n)
+        m4 = sum((c - mean) ** 4 for c in counts) / n
+        s2 = sum((c - mean) ** 2 for c in counts) / (n - 1)
+        want = math.sqrt((m4 - Fraction(n - 3, n - 1) * s2**2) / n)
+        rep = _report_from_counts(np.array(counts), SamplerConfig(seed=0))
+        assert rep.var_se > 0
+        np.testing.assert_allclose(rep.var_se, want, rtol=1e-14)
+
+    def test_variance_se_is_zero_only_for_equal_counts(self):
+        assert _report_from_counts(np.array([3, 3, 3]), SamplerConfig(seed=0)).var_se == 0.0
+        assert _report_from_counts(np.array([5]), SamplerConfig(seed=0)).var_se == 0.0
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,16 @@
 """Mittag-Leffler and incomplete-beta evaluators against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import cfpp
 from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.special import (
     MLParams,
@@ -58,6 +62,34 @@ class TestMittagLefflerValues:
         np.testing.assert_allclose(ml_two(1, 1, -1.0), math.exp(-1), rtol=1e-13)
         np.testing.assert_allclose(ml_one(1.0, -10.0), math.exp(-10), rtol=1e-12)
 
+    @pytest.mark.parametrize("x", [-0.3, -2.5, -17.0, -49.5])
+    def test_alpha_one_is_the_exponential_exactly(self, x):
+        assert ml_one(1, x) == math.exp(x)
+        assert ml_one(1.0, x) == math.exp(x)
+
+    @pytest.mark.parametrize("x", [-0.3, -2.5, -17.0])
+    def test_alpha_one_kummer_branch(self, x):
+        # gamma != beta keeps 1F1: E_{1,2}(x) = (e^x - 1) / x
+        with mp.workdps(40):
+            want = float(mp.expm1(mp.mpf(x)) / mp.mpf(x))
+        np.testing.assert_allclose(ml_two(1, 2, x), want, rtol=1e-13)
+        np.testing.assert_allclose(ml_two(1, 2, x), ml_series_oracle(1.0, 2.0, 1.0, x), rtol=1e-11)
+
+    def test_alpha_one_pgf_leaves_scipy_special_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cfpp.__file__))
+        code = (
+            "import sys\n"
+            "from cfpp.distribution import pgf\n"
+            "from cfpp.intensity import GeometricIntensity\n"
+            "value = pgf(GeometricIntensity(1.0, 0.5), 1.0, 1.3, 0.4)\n"
+            "print(0 < value < 1, 'scipy.special' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True", "False"]
+
     def test_gamma_collapse_to_exponential(self):
         # Gamma(2+k) / (k! Gamma(k+2)) = 1/k!, so E^2_{1,2}(x) sums to e^x
         np.testing.assert_allclose(
@@ -94,6 +126,66 @@ class TestMittagLefflerValues:
                 ml_three(MLParams(alpha, beta, 1.0), x),
                 rtol=1e-12,
             )
+
+
+class TestContourCache:
+    """The node powers are cached per alpha; results must not depend on it."""
+
+    ALPHAS = (0.3, 0.55, 0.8, 0.95)
+
+    def _values(self, alphas):
+        return {
+            a: (ml_weights(a, 3.0, 12), ml_one(a, -2.0), ml_two(a, 1.7, -2.0),
+                ml_three(MLParams(a, 1.4, 2.5), -2.0))
+            for a in alphas
+        }
+
+    @staticmethod
+    def _assert_identical(first, again):
+        for a, vals in first.items():
+            np.testing.assert_array_equal(vals[0], again[a][0])
+            assert vals[1:] == again[a][1:]
+
+    def test_interleaved_alphas_repeat_bit_for_bit(self):
+        first = self._values(self.ALPHAS)
+        self._assert_identical(first, self._values(self.ALPHAS[::-1]))
+        self._assert_identical(first, self._values(self.ALPHAS[1::2] + self.ALPHAS[::2]))
+
+    def test_evicted_alphas_repeat_bit_for_bit(self):
+        first = self._values(self.ALPHAS)
+        for a in np.linspace(0.2, 0.9, 80):  # more alphas than the cache holds
+            ml_one(float(a), -1.0)
+        self._assert_identical(first, self._values(self.ALPHAS))
+
+    def test_writing_into_a_result_leaves_the_next_call_alone(self):
+        w = ml_weights(0.6, 3.0, 10)
+        want = w.copy()
+        w[:] = -1.0
+        np.testing.assert_array_equal(ml_weights(0.6, 3.0, 10), want)
+        np.testing.assert_array_equal(ml_weights(0.6, 3.0, 4), want[:5])
+
+    @pytest.mark.parametrize("gamma", [0.7, 2.5, 4.0])
+    @pytest.mark.parametrize("x", [-6.0, -0.8])
+    def test_general_gamma_against_series_oracle(self, gamma, x):
+        got = ml_three(MLParams(0.65, 1.3, gamma), x)
+        np.testing.assert_allclose(got, ml_series_oracle(0.65, 1.3, gamma, x), rtol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("beta", [1.0, 1.6])
+    def test_derivative_against_differentiated_series(self, n, beta):
+        # d^n/dx^n sum_k x^k / Gamma(k alpha + beta), term by term in mpmath:
+        # independent of the n! E^{n+1} identity that ml_deriv uses
+        alpha, x = 0.75, -3.0
+        with mp.workdps(60):
+            a, b, xm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+            want, k = mp.mpf(0), 0
+            while True:
+                term = mp.ff(k + n, n) * xm**k / mp.gamma((k + n) * a + b)
+                want += term
+                if k > 20 and abs(term) < mp.mpf("1e-40"):
+                    break
+                k += 1
+        np.testing.assert_allclose(ml_deriv(alpha, beta, n, x), float(want), rtol=1e-11)
 
 
 class TestMittagLefflerDomain:
