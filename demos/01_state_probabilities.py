@@ -28,8 +28,9 @@ for n in range(11):
 # The heavier tail at small alpha is the clock effect: the fractional clock
 # spends long stretches frozen, then bursts.
 
-# Auto-sizing: leaving n_max unset picks enough states that the missing
-# probability mass is negligible, and reports exactly how much is missing.
+# Auto-sizing: leaving n_max unset adds states in blocks until the mass
+# computed so far is within 1e-7 of 1 (at most 4096 states), and reports
+# exactly how much is missing.
 sd = pmf_cfpp(model, 0.5, 5.0)
 print(f"\nauto-sized n_max at alpha=0.5, t=5: {sd.n_max}")
 print(f"sum of probabilities: {sd.probs.sum():.12f}")

@@ -1,21 +1,34 @@
 """Exact state probabilities, generating functions, transforms, and moments.
 
-The count distribution at time t has the compound form
+The count distribution at time t depends on t only through x = lambda_0
+t^alpha.  On each node s of the Bromwich contour in ``special``, its state
+transforms obey
+
+    P_0 = s^(alpha - 1) / (s^alpha + x),   P_n = r sum_{j>=1} g_j P_(n-j),
+
+with r = x / (s^alpha + x) and g_j = delta_j / lambda_0 the jump law: the
+Laplace-domain form of Panjer's recursion (ASTIN Bulletin 12 (1981) 22-26).
+``pmf_cfpp`` builds the rows n = 0, 1, ... in blocks and inverts each block;
+left to size itself, it stops after the first block at which the mass it
+has computed is within TAIL_TOL of 1, or at N_MAX_CEILING.  At alpha = 1 the
+law is compound Poisson and Panjer's recursion in t gives it directly.
+
+The compound form
 
     p(n, t) = sum_{k=0}^{n}  Pr{X_1 + ... + X_k = n} * w_k(t),
 
-where the X_i are iid jumps with law delta_j / lambda_0 and w_k(t) is the
-k-th fractional-Poisson weight (lambda_0 t^alpha)^k E^{k+1}_{alpha, k alpha
-+ 1}(-lambda_0 t^alpha).  The jump-sum probabilities are the coefficients of
-the partition ("lambda") form of the distribution, accumulated here by the
-convolution-power recurrence of their generating polynomial; the padded
-("theta") and composition forms are kept as literal enumerations and used
-as cross-checking oracles.
+with w_k the fractional-Poisson weights of ``special.ml_weights`` and the
+jump-sum matrix of ``jump_sum_pmf``, is kept as the independent side of
+``pmf_cpp`` and ``laplace_pmf``; the padded ("theta") and composition forms
+of the partition sum are literal enumerations kept as cross-checking
+oracles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +37,10 @@ from . import intensity as intens
 from . import partitions, special
 from .errors import DomainError
 
-N_MAX_CEILING = 128
+N_MAX_CEILING = 4096  # rows of pmf_cfpp
+TAIL_TOL = 1e-7  # mass an auto-sized pmf_cfpp may leave out
+FIRST_BLOCK = 16  # rows inverted first; each later block doubles the rows so far
+ORACLE_N_CEILING = 128  # the jump-sum matrix is (n+1)^2, built by n convolutions
 THETA_N_CEILING = 64  # padded-index enumeration cost explodes past this
 COMPOSITION_N_CEILING = 20  # composition enumeration grows like 2^n
 
@@ -67,10 +83,18 @@ def _validate_common(model, alpha, t):
 
 
 def _check_n_max(n_max, ceiling=N_MAX_CEILING):
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if n_max > ceiling:
-        raise DomainError(f"n_max = {n_max} exceeds the ceiling {ceiling}")
+    """n_max as an int in 0..ceiling; a boolean or a non-integral value is refused."""
+    try:
+        if isinstance(n_max, bool):
+            raise TypeError
+        n = operator.index(n_max)
+    except TypeError:
+        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
+    if n < 0:
+        raise DomainError(f"n_max must be >= 0, got {n}")
+    if n > ceiling:
+        raise DomainError(f"n_max = {n} exceeds the ceiling {ceiling}")
+    return n
 
 
 def _convolution_powers(g, n):
@@ -86,8 +110,10 @@ def jump_sum_pmf(model, n_max: int) -> np.ndarray:
     """Matrix J[k, n] = Pr{X_1 + ... + X_k = n} for k, n = 0..n_max.
 
     Row k is the k-fold convolution power of the jump law; row 0 is a point
-    mass at zero.  Jumps are at least 1, so J[k, n] = 0 for k > n.
+    mass at zero.  Jumps are at least 1, so J[k, n] = 0 for k > n.  The
+    matrix costs n convolutions, so n_max is bounded by ORACLE_N_CEILING.
     """
+    n_max = _check_n_max(n_max, ORACLE_N_CEILING)
     lam0 = model.lambda_at(0)
     g = np.zeros(n_max + 1)
     for j in range(1, n_max + 1):
@@ -101,65 +127,125 @@ def _point_mass(alpha, t, n_max, formula):
     return StateDistribution(alpha, t, probs, formula, 0.0)
 
 
-def _chernoff_n(model, alpha, t, tail_tol):
-    """Smallest n with P{N(t) > n} <= tail_tol, by a Chernoff bound.
+def _jump_support(model):
+    """Largest jump J of a finite model, or None for a geometric one."""
+    if isinstance(model, intens.GeometricIntensity):
+        return None
+    return model.jump_support_max
 
-    P{N > n} <= u^-(n+1) E u^N for any u > 1 inside the pgf's radius; the
-    pgf is bounded through E_alpha(x) <= (1/alpha) exp(x^(1/alpha)), so no
-    series evaluation is needed.  Returns N_MAX_CEILING when no candidate
-    tilt stays inside the accuracy domain.
+
+def _block_sizes(n_max):
+    """Rows per block: n_max + 1 at once, or with n_max None FIRST_BLOCK and
+    then blocks that double the rows so far, up to N_MAX_CEILING + 1 rows."""
+    if n_max is not None:
+        yield n_max + 1
+        return
+    total = 0
+    while total <= N_MAX_CEILING:
+        m = min(max(total, FIRST_BLOCK), N_MAX_CEILING + 1 - total)
+        yield m
+        total += m
+
+
+def _node_blocks(model, alpha, x, sizes):
+    """Blocks of the state transforms P_0, P_1, ... on the contour nodes, one per size.
+
+    P_n = r sum_j g_j P_(n-j) is one (J x nodes) product per row for jumps
+    up to J.  Geometric jumps, g_j = (1 - q) q^(j-1), collapse it to
+    P_1 = r (1 - q) P_0 and P_(n+1) = zeta P_n with zeta = q + (1 - q) r;
+    unit jumps are the case q = 0.
     """
-    if isinstance(model, intens.GeometricIntensity) and model.q > 0:
-        pole = 1.0 / model.q
-        candidates = [1.0 + f * (pole - 1.0) for f in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    p0, r = special.node_transforms(alpha, x)
+    support = _jump_support(model)
+    if support is None or support == 1:
+        q = model.q if support is None else 0.0
+        zeta = q + (1.0 - q) * r
+        lag, first = 1, np.array([p0, r * (1.0 - q) * p0])
     else:
-        candidates = [1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0]
-    best = N_MAX_CEILING
-    for u in candidates:
-        arg = t**alpha * intens.delta_series(model, u)
-        if not 0 < arg <= 45.0:
-            continue
-        try:
-            log_pgf = arg ** (1.0 / alpha) - math.log(alpha)
-        except OverflowError:  # small alpha: the bound says nothing at this tilt
-            continue
-        n = math.ceil((log_pgf - math.log(tail_tol)) / math.log(u))
-        best = min(best, n)
-    return best
+        g = np.array([intens.jump_pmf(model, j) for j in range(support, 0, -1)], dtype=complex)
+        lag, first = support, p0[None, :]
+    recent = np.zeros((lag, p0.size), dtype=complex)  # the last lag rows made
+    for m in sizes:
+        rows = np.empty((lag + m, p0.size), dtype=complex)
+        rows[:lag] = recent
+        head, first = first[:m], first[m:]  # rows given rather than made
+        rows[lag : lag + len(head)] = head
+        if lag == 1:
+            for i in range(1 + len(head), 1 + m):
+                np.multiply(rows[i - 1], zeta, out=rows[i])
+        else:
+            for i in range(lag + len(head), lag + m):
+                np.multiply(np.dot(g, rows[i - lag : i]), r, out=rows[i])
+        recent = rows[m:]
+        yield rows[lag:]
 
 
-def default_n_max(model, alpha: float, t: float, tail_tol: float = 1e-7) -> int:
-    """Auto-sized state ceiling, capped at N_MAX_CEILING.
+def _panjer_probs(model, x):
+    """p_0, p_1, ... of the compound Poisson law at alpha = 1 (Panjer's recursion).
 
-    Starts from mean + 10 standard deviations and extends until a Chernoff
-    bound puts the missing mass below tail_tol; the count tail is set by the
-    jump law, which the standard deviation alone understates at small t.
+    p_0 = e^-x and p_n = (x / n) sum_j j g_j p_(n-j); for geometric jumps
+    this is the three-term (n + 1) p_(n+1) = (2 q n + x (1 - q)) p_n
+    - q^2 (n - 1) p_(n-1).
     """
-    _validate_common(model, alpha, t)
-    if t == 0:
-        return 8
-    m = mean_cfpp(model, alpha, t)
-    sd = math.sqrt(var_cfpp(model, alpha, t))
-    base = max(8, math.ceil(m + 10.0 * sd))
-    return min(N_MAX_CEILING, max(base, _chernoff_n(model, alpha, t, tail_tol)))
+    p0 = math.exp(-x)
+    yield p0
+    support = _jump_support(model)
+    if support is None:
+        q = model.q
+        prev, cur = 0.0, p0
+        for n in itertools.count():
+            prev, cur = cur, ((2.0 * q * n + x * (1.0 - q)) * cur - q * q * (n - 1) * prev) / (n + 1)
+            yield cur
+    jg = [j * intens.jump_pmf(model, j) for j in range(1, support + 1)]  # j g_j
+    probs = [p0]
+    for n in itertools.count(1):
+        recent = probs[max(0, n - support):][::-1]  # p_(n-1), p_(n-2), ...
+        probs.append(x / n * sum(a * b for a, b in zip(jg, recent)))
+        yield probs[-1]
+
+
+def _state_probs(model, alpha, x, n_max):
+    """p_0..p_n_max, or with n_max None through the first block after which
+    1 - sum p <= TAIL_TOL."""
+    sizes = _block_sizes(n_max)
+    if alpha == 1.0:
+        stream = _panjer_probs(model, x)
+        blocks = (np.fromiter(itertools.islice(stream, m), dtype=float, count=m) for m in sizes)
+    else:
+        blocks = map(special.invert_rows, _node_blocks(model, alpha, x, sizes))
+    probs = np.empty(0)
+    for block in blocks:
+        probs = np.concatenate([probs, block])
+        if n_max is None and 1.0 - probs.sum() <= TAIL_TOL:
+            break
+    return probs
+
+
+def default_n_max(model, alpha: float, t: float) -> int:
+    """The n_max at which the auto-sized pmf_cfpp stops (at most N_MAX_CEILING)."""
+    return pmf_cfpp(model, alpha, t).n_max
 
 
 def pmf_cfpp(model, alpha: float, t: float, n_max: int | None = None) -> StateDistribution:
-    """Count distribution p(n, t) for n = 0..n_max (lambda-form coefficients).
+    """Count distribution p(n, t) for n = 0..n_max, from Panjer's recursion.
 
-    With n_max omitted, the ceiling is auto-sized (mean + 10 standard
-    deviations, extended by a tail bound, capped at 128); whatever mass
-    lies beyond the ceiling is reported as ``truncation_mass``.
+    The state transforms are built row by row on the contour nodes and
+    inverted in blocks (at alpha = 1 the recursion runs in t).  With n_max
+    omitted, blocks are added until the missing mass 1 - sum p is at most
+    TAIL_TOL = 1e-7, or until the row bound N_MAX_CEILING = 4096 is reached;
+    whatever mass lies beyond the last row is reported as
+    ``truncation_mass``.  Raises DomainError for lambda_0 t^alpha > 50 and
+    NonConvergenceError where the contour's error estimate exceeds 1e-12.
     """
     _validate_common(model, alpha, t)
-    if n_max is None:
-        n_max = default_n_max(model, alpha, t)
-    _check_n_max(n_max)
+    if n_max is not None:
+        n_max = _check_n_max(n_max)
     if t == 0:
-        return _point_mass(alpha, t, n_max, FORMULA_LAMBDA)
-    lam0 = model.lambda_at(0)
-    w = special.ml_weights(alpha, lam0 * t**alpha, n_max)
-    probs = jump_sum_pmf(model, n_max).T @ w
+        return _point_mass(alpha, t, n_max or 0, FORMULA_LAMBDA)
+    x = model.lambda_at(0) * t**alpha
+    if not x <= special.ML_MAX_ABS_ARGUMENT:
+        raise DomainError(f"lambda_0 t^alpha must lie in [0, {special.ML_MAX_ABS_ARGUMENT}], got {x}")
+    probs = _state_probs(model, alpha, x, n_max)
     return StateDistribution(alpha, t, probs, FORMULA_LAMBDA, 1.0 - float(probs.sum()))
 
 
@@ -172,7 +258,7 @@ def pmf_cfpp_theta(model, alpha: float, t: float, n_max: int | None = None) -> S
     _validate_common(model, alpha, t)
     if n_max is None:
         n_max = min(default_n_max(model, alpha, t), THETA_N_CEILING)
-    _check_n_max(n_max, THETA_N_CEILING)
+    n_max = _check_n_max(n_max, THETA_N_CEILING)
     if t == 0:
         return _point_mass(alpha, t, n_max, FORMULA_THETA)
     lam0 = model.lambda_at(0)
@@ -205,7 +291,7 @@ def pmf_cfpp_composition(model, alpha: float, t: float, n_max: int | None = None
     _validate_common(model, alpha, t)
     if n_max is None:
         n_max = min(default_n_max(model, alpha, t), COMPOSITION_N_CEILING)
-    _check_n_max(n_max, COMPOSITION_N_CEILING)
+    n_max = _check_n_max(n_max, COMPOSITION_N_CEILING)
     if t == 0:
         return _point_mass(alpha, t, n_max, FORMULA_COMPOSITION)
     lam0 = model.lambda_at(0)
@@ -237,8 +323,8 @@ def pmf_cpp(model, t: float, n_max: int | None = None) -> StateDistribution:
     """
     _validate_common(model, 1.0, t)
     if n_max is None:
-        n_max = default_n_max(model, 1.0, t)
-    _check_n_max(n_max)
+        n_max = min(default_n_max(model, 1.0, t), ORACLE_N_CEILING)
+    n_max = _check_n_max(n_max, ORACLE_N_CEILING)
     if t == 0:
         return _point_mass(1.0, t, n_max, FORMULA_CPP)
     lam0 = model.lambda_at(0)

@@ -200,6 +200,26 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
     return np.maximum(_invert(rows), 0.0)
 
 
+def node_transforms(alpha: float, x: float):
+    """P_0 = s^(alpha-1) / (s^alpha + x) and r = x / (s^alpha + x) on the contour nodes.
+
+    For 0 < alpha < 1.  P_0 is the transform of E_alpha(-x t^alpha), and
+    multiplying by r takes a fractional Poisson transform up one event.
+    """
+    sa, sa1 = _node_powers(alpha)
+    bottom = sa + x
+    return sa1 / bottom, x / bottom
+
+
+def invert_rows(rows) -> np.ndarray:
+    """Inverse transforms at t = 1 of rows of probability transforms on the nodes.
+
+    Raises NonConvergenceError as ``_invert`` does; values are clipped at 0,
+    since rounding can leave a far-tail probability a few ulps below it.
+    """
+    return np.maximum(_invert(rows), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Incomplete beta function
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ from scipy import integrate
 from cfpp.cli import EXIT_OK, main
 from cfpp.distribution import (
     FORMULA_CPP,
+    N_MAX_CEILING,
+    ORACLE_N_CEILING,
+    TAIL_TOL,
     factorial_moment,
     jump_sum_pmf,
     laplace_pgf,
@@ -28,9 +31,10 @@ from cfpp.distribution import (
     pmf_tfpp,
     var_cfpp,
 )
-from cfpp.errors import DomainError
+from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.intensity import FiniteIntensity, GeometricIntensity, delta_series
-from cfpp.special import MLParams, ml_one, ml_three
+from cfpp.special import MLParams, ml_one, ml_three, ml_weights
+from cfpp.validate import SLOPE_MODEL
 
 GEO = GeometricIntensity(1.0, 0.5)
 UNIT = FiniteIntensity([1.0])
@@ -118,11 +122,54 @@ class TestStateProbabilities:
 
     def test_n_max_ceilings(self):
         with pytest.raises(DomainError):
-            pmf_cfpp(GEO, 0.7, 1.0, 129)
+            pmf_cfpp(GEO, 0.7, 1.0, N_MAX_CEILING + 1)
         with pytest.raises(DomainError):
             pmf_cfpp_theta(GEO, 0.7, 1.0, 65)
         with pytest.raises(DomainError):
             pmf_cfpp_composition(GEO, 0.7, 1.0, 21)
+
+    # The jump-sum matrix times the fractional-Poisson weights: the engine
+    # pmf_cfpp ran before the contour recurrence, kept as its reference.
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        model=st.one_of(
+            st.builds(GeometricIntensity, st.floats(0.1, 2.0), st.floats(0.0, 0.95, exclude_max=True)),
+            st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6)
+            .filter(lambda v: max(v) > 0.1)
+            .map(lambda v: FiniteIntensity(sorted(v, reverse=True))),
+        ),
+        alpha=st.floats(0.1, 1.0, exclude_max=True),
+        x=st.floats(0.0, 50.0, exclude_min=True),
+        n_max=st.integers(0, ORACLE_N_CEILING),
+    )
+    def test_recurrence_matches_the_jump_sum_engine(self, model, alpha, x, n_max):
+        lam0 = model.lambda_at(0)
+        t = (x / lam0) ** (1.0 / alpha)
+        try:
+            want = jump_sum_pmf(model, n_max).T @ ml_weights(alpha, lam0 * t**alpha, n_max)
+        except (DomainError, NonConvergenceError) as exc:
+            with pytest.raises(type(exc)):
+                pmf_cfpp(model, alpha, t, n_max)
+            return
+        got = pmf_cfpp(model, alpha, t, n_max).probs
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [ORACLE_N_CEILING + 1, 1000, 10**6])
+    def test_jump_sum_oracle_is_bounded(self, n):
+        with pytest.raises(DomainError):
+            jump_sum_pmf(GEO, n)
+        with pytest.raises(DomainError):
+            laplace_pmf(GEO, 0.7, n, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_state_count_must_be_an_integer(self, n):
+        for call in (pmf_cfpp, pmf_cfpp_theta, pmf_cfpp_composition):
+            with pytest.raises(DomainError):
+                call(GEO, 0.7, 1.0, n)
+        with pytest.raises(DomainError):
+            jump_sum_pmf(GEO, n)
+        with pytest.raises(DomainError):
+            laplace_pmf(GEO, 0.7, n, 1.0)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
@@ -326,10 +373,10 @@ class TestMoments:
         got = factorial_moment(FiniteIntensity([lam]), alpha, t, r)
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
-    # The oracle drops the mass beyond n = 128, which n^6 magnifies: at
-    # alpha = 0.2 with q = 0.6, or with four equal values, the dropped part
-    # alone exceeds 1e-6 relative.  On the ranges drawn here it stays below
-    # 1e-9 at every corner.
+    # The oracle is the pmf at fixed n_max = 128 and drops the mass beyond
+    # it, which n^6 magnifies: at alpha = 0.2 with q = 0.6, or with four
+    # equal values, the dropped part alone exceeds 1e-6 relative.  On the
+    # ranges drawn here it stays below 1e-9 at every corner.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         model=st.one_of(
@@ -410,6 +457,17 @@ class TestSizingAndExport:
             for t in (0.5, 5.0):
                 sd = pmf_cfpp(GEO, alpha, t)
                 assert sd.truncation_mass < 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_auto_size_meets_the_tail_tolerance_across_the_domain(self, alpha):
+        for x in (1, 2, 5, 10, 20, 30, 45):
+            assert pmf_cfpp(GEO, alpha, x ** (1 / alpha)).truncation_mass <= TAIL_TOL
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9])
+    def test_auto_size_meets_the_tail_tolerance_for_heavy_jumps(self, alpha):
+        # geometric(0.5, 0.9) at x = 8 needs hundreds to over a thousand rows
+        t = (8.0 / SLOPE_MODEL.lambda_at(0)) ** (1 / alpha)
+        assert pmf_cfpp(SLOPE_MODEL, alpha, t).truncation_mass <= TAIL_TOL
 
     def test_jump_sum_rows_are_distributions(self):
         J = jump_sum_pmf(STEP, 24)
