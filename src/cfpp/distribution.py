@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,8 @@ import numpy as np
 from . import intensity as intens
 from . import partitions, special
 from .errors import DomainError
+from .special import N_MAX_CEILING, _check_n_max
 
-N_MAX_CEILING = 4096  # rows of pmf_cfpp
 TAIL_TOL = 1e-7  # mass an auto-sized pmf_cfpp may leave out
 FIRST_BLOCK = 16  # rows inverted first; each later block doubles the rows so far
 ORACLE_N_CEILING = 128  # the jump-sum matrix is (n+1)^2, built by n convolutions
@@ -80,21 +79,6 @@ def _validate_common(model, alpha, t):
         raise DomainError(f"t must be finite and nonnegative, got {t}")
     if not isinstance(model, (intens.FiniteIntensity, intens.GeometricIntensity)):
         raise DomainError(f"not an intensity model: {model!r}")
-
-
-def _check_n_max(n_max, ceiling=N_MAX_CEILING):
-    """n_max as an int in 0..ceiling; a boolean or a non-integral value is refused."""
-    try:
-        if isinstance(n_max, bool):
-            raise TypeError
-        n = operator.index(n_max)
-    except TypeError:
-        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
-    if n < 0:
-        raise DomainError(f"n_max must be >= 0, got {n}")
-    if n > ceiling:
-        raise DomainError(f"n_max = {n} exceeds the ceiling {ceiling}")
-    return n
 
 
 def _convolution_powers(g, n):
@@ -343,10 +327,6 @@ def pmf_tfpp(lambda0: float, alpha: float, t: float, n_max: int) -> np.ndarray:
         raise DomainError(f"lambda_0 must be positive, got {lambda0}")
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    if t == 0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
     return special.ml_weights(alpha, lambda0 * t**alpha, n_max)
 
 

@@ -5,7 +5,10 @@ Two exact samplers are provided for the count at a fixed time t:
 * ``TimeChange`` -- draw the inverse-stable time H(t) = (t / S)^alpha from a
   one-sided stable variate S, then a Poisson(lambda_0 H) number of iid jumps.
 * ``RenewalCompound`` -- accumulate Mittag-Leffler waiting times until they
-  pass t, scoring one iid jump per renewal as it arrives.
+  pass t, scoring one iid jump per renewal as it arrives; the same loop
+  gives each path's counts at several sorted times, a draw of the joint law.
+
+Finite jump laws are drawn by inverse CDF, geometric ones by ``rng.geometric``.
 
 Reproducibility contract: worker w draws from the substream spawned from
 (seed, w) and contributes n_samples // workers samples, one more for the
@@ -90,8 +93,8 @@ def sample_inverse_stable(alpha: float, t: float, rng, size=None):
     """Inverse alpha-stable subordinator marginal H(t) = (t / S)^alpha."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 1.0:
         return float(t) if size is None else np.full(size, float(t))
     s = sample_stable(alpha, rng, size)
@@ -107,8 +110,8 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if lambda0 <= 0:
-        raise DomainError(f"lambda_0 must be positive, got {lambda0}")
+    if not 0 < lambda0 < math.inf:
+        raise DomainError(f"lambda_0 must be positive and finite, got {lambda0}")
     scalar = size is None
     n = 1 if scalar else size
     if alpha == 1.0:
@@ -125,53 +128,31 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
 class JumpSampler:
     """Sampler for the jump-size law delta_j / lambda_0.
 
-    Geometric intensities give a geometric jump law on {1, 2, ...} drawn by
-    closed-form inversion; finite intensities get a Vose alias table over
-    their bounded support.
+    Geometric intensities give a geometric jump law on {1, 2, ...}, drawn by
+    ``Generator.geometric``.  Finite intensities keep their cumulative law
+    over the bounded support, divided by its last entry so that it ends at
+    exactly 1, and draw by inverse CDF: a uniform u in [0, 1) gives the
+    jump 1 + #{j : cdf_j <= u}, so a jump of probability 0 is never drawn.
     """
 
     def __init__(self, model):
         self._model = model
         if isinstance(model, intens.GeometricIntensity):
             self._p_success = 1.0 - model.q
-            self._alias = None
+            self._cdf = None
         else:
             support = model.jump_support_max
-            probs = np.array([intens.jump_pmf(model, j) for j in range(1, support + 1)])
-            self._alias = _build_alias(probs)
+            cdf = np.cumsum([intens.jump_pmf(model, j) for j in range(1, support + 1)])
+            self._cdf = cdf / cdf[-1]
 
     def sample(self, rng, size=None):
         scalar = size is None
         n = 1 if scalar else size
-        if self._alias is None:
+        if self._cdf is None:
             out = rng.geometric(self._p_success, n)
         else:
-            prob, alias = self._alias
-            m = len(prob)
-            cell = rng.integers(0, m, n)
-            accept = rng.random(n) < prob[cell]
-            out = np.where(accept, cell, alias[cell]) + 1
+            out = np.searchsorted(self._cdf, rng.random(n), side="right") + 1
         return int(out[0]) if scalar else out.astype(np.int64)
-
-
-def _build_alias(probs):
-    m = len(probs)
-    scaled = probs * m
-    prob = np.zeros(m)
-    alias = np.zeros(m, dtype=np.int64)
-    small = [i for i in range(m) if scaled[i] < 1.0]
-    large = [i for i in range(m) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = scaled[g] - (1.0 - scaled[s])
-        (small if scaled[g] < 1.0 else large).append(g)
-    for i in large + small:
-        prob[i] = 1.0
-    return prob, alias
 
 
 def sample_jump(model, rng, size=None):
@@ -211,26 +192,40 @@ def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
             f"{size} samples at t={t} expect counts summing to {expected_total:.3g}, "
             f"more than {MAX_EXPECTED_COUNT_TOTAL:.0e}"
         )
-    sampler = JumpSampler(model)
     if method == METHOD_TIME_CHANGE:
         h = sample_inverse_stable(alpha, t, rng, size)
         try:
             n_events = rng.poisson(lam0 * h)
         except ValueError as exc:  # NaN or huge rates: the stable draws broke down
             raise DomainError(f"no Poisson draw at alpha={alpha}, t={t}: {exc}") from exc
-        return _jump_totals(sampler, n_events, rng)
-    # Renewal route: draw each event's jump together with its waiting time,
-    # so runs with the same seed give nested paths as t grows.
-    totals = np.zeros(size, dtype=np.int64)
+        return _jump_totals(JumpSampler(model), n_events, rng)
+    return _renewal_counts(model, alpha, (t,), rng, size)[0]
+
+
+def _renewal_counts(model, alpha, times, rng, size):
+    """Counts of `size` renewal paths at each of the sorted `times`, one int64 row per time.
+
+    Each round draws a waiting time for every path whose clock has not yet
+    passed the last time, then one jump for each path that arrived by it;
+    the jump counts at every time the arrival is at or before.  Each event's
+    jump is drawn together with its waiting time, so runs with the same seed
+    give nested paths as the times grow.
+    """
+    sampler = JumpSampler(model)
+    lam0 = model.lambda_at(0)
+    counts = np.zeros((len(times), size), dtype=np.int64)
     clock = np.zeros(size)
     active = np.arange(size)
     while active.size:
         clock[active] += ml_waiting_time(alpha, lam0, rng, active.size)
-        arrived = clock[active] <= t
-        active = active[arrived]
+        active = active[clock[active] <= times[-1]]
         if active.size:
-            totals[active] += sampler.sample(rng, active.size)
-    return totals
+            jumps = sampler.sample(rng, active.size)
+            counts[-1][active] += jumps
+            for row, time in zip(counts[:-1], times[:-1]):
+                early = clock[active] <= time
+                row[active[early]] += jumps[early]
+    return counts
 
 
 def sample_cfpp(model, alpha, t, rng, method=METHOD_TIME_CHANGE):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import DomainError, NonConvergenceError
 # Accuracy domain documented for evaluation; outside it we refuse rather
 # than silently degrade.
 ML_MAX_ABS_ARGUMENT = 50.0
+N_MAX_CEILING = 4096  # rows of ml_weights and of distribution.pmf_cfpp
 
 # Contour s(theta) = 48 (0.1309 - 0.1194 theta^2 + 0.25 i theta) on
 # -4 < theta < 4 at step h = 1/64; e^s < 1e-37 beyond theta = +-4.  The node
@@ -69,6 +71,21 @@ def _invert(transform):
             f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
         )
     return full
+
+
+def _check_n_max(n_max, ceiling=N_MAX_CEILING):
+    """n_max as an int in 0..ceiling; a boolean or a non-integral value is refused."""
+    try:
+        if isinstance(n_max, bool):
+            raise TypeError
+        n = operator.index(n_max)
+    except TypeError:
+        raise DomainError(f"n_max must be an integer, got {n_max!r}") from None
+    if n < 0:
+        raise DomainError(f"n_max must be >= 0, got {n}")
+    if n > ceiling:
+        raise DomainError(f"n_max = {n} exceeds the ceiling {ceiling}")
+    return n
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,27 +194,23 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
     x = rate * t^alpha.  Their transforms s^(alpha-1) (x / (s^alpha + x))^k
     / (s^alpha + x) differ by a power, so repeated multiplication on the
     contour gives the rows of the whole vector, to an estimated absolute
-    error <= 1e-12.
+    error <= 1e-12.  n_max is an integer of at most N_MAX_CEILING = 4096.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0 <= x <= ML_MAX_ABS_ARGUMENT:
         raise DomainError(f"x must lie in [0, {ML_MAX_ABS_ARGUMENT}], got {x}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_n_max(n_max)
     if x == 0.0:
         return np.eye(1, n_max + 1)[0]
     if alpha == 1.0:  # the Poisson pmf
         return np.exp([k * math.log(x) - x - math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    sa, sa1 = _node_powers(alpha)
-    bottom = sa + x
-    ratio = x / bottom
+    p0, r = node_transforms(alpha, x)
     rows = np.empty((n_max + 1, _S.size), dtype=complex)
-    rows[0] = sa1 / bottom
+    rows[0] = p0
     for k in range(1, n_max + 1):
-        np.multiply(rows[k - 1], ratio, out=rows[k])
-    # rounding can leave a far-tail weight a few ulps of 1 below zero
-    return np.maximum(_invert(rows), 0.0)
+        np.multiply(rows[k - 1], r, out=rows[k])
+    return invert_rows(rows)
 
 
 def node_transforms(alpha: float, x: float):

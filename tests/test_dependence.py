@@ -24,6 +24,7 @@ from cfpp.dependence import (
 from cfpp.distribution import var_cfpp
 from cfpp.errors import DegenerateFitError, DomainError
 from cfpp.intensity import FiniteIntensity, GeometricIntensity
+from cfpp.simulate import _renewal_counts, sample_stable
 
 GEO = GeometricIntensity(1.0, 0.5)
 HEAVY = GeometricIntensity(0.5, 0.9)
@@ -44,12 +45,7 @@ def mc_inverse_stable_pair(alpha, s, t, n_paths=30_000, du=2e-3, seed=515):
     h_t = np.zeros(n_paths)
     active = np.arange(n_paths)
     while active.size:
-        v = rng.uniform(-np.pi / 2, np.pi / 2, (active.size, chunk))
-        w = rng.exponential(1.0, (active.size, chunk))
-        shifted = alpha * (v + np.pi / 2)
-        incs = scale * (np.sin(shifted) / np.cos(v) ** (1 / alpha)) * (
-            np.cos(v - shifted) / w
-        ) ** ((1 - alpha) / alpha)
+        incs = scale * sample_stable(alpha, rng, (active.size, chunk))
         paths = d[active, None] + np.cumsum(incs, axis=1)
         h_s[active] += du * (paths <= s).sum(axis=1)
         h_t[active] += du * (paths <= t).sum(axis=1)
@@ -91,29 +87,6 @@ class TestInverseStableCovariance:
             cov_inverse_stable(1.0, 1.0, 2.0)
 
 
-def mc_joint_counts(model, alpha, t1, t2, n_paths, seed):
-    """Sample (N(t1), N(t2)) jointly from coupled renewal paths."""
-    from cfpp.simulate import JumpSampler, ml_waiting_time
-
-    rng = np.random.default_rng(seed)
-    sampler = JumpSampler(model)
-    lam0 = model.lambda_at(0)
-    c1 = np.zeros(n_paths, dtype=np.int64)
-    c2 = np.zeros(n_paths, dtype=np.int64)
-    clock = np.zeros(n_paths)
-    active = np.arange(n_paths)
-    while active.size:
-        clock[active] += ml_waiting_time(alpha, lam0, rng, active.size)
-        arrived = clock[active] <= t2
-        active = active[arrived]
-        if active.size:
-            jumps = sampler.sample(rng, active.size)
-            c2[active] += jumps
-            early = clock[active] <= t1
-            c1[active[early]] += jumps[early]
-    return c1, c2
-
-
 class TestProcessCovariance:
     def test_diagonal_equals_variance(self):
         for model in (GEO, HEAVY, FiniteIntensity([2, 1, 0.5])):
@@ -132,10 +105,26 @@ class TestProcessCovariance:
         # the renewal construction reproduces the joint law of the
         # time-changed process, so its empirical covariance must match
         alpha, t1, t2, n = 0.7, 1.0, 4.0, 200_000
-        c1, c2 = mc_joint_counts(GEO, alpha, t1, t2, n, seed=909)
+        c1, c2 = _renewal_counts(GEO, alpha, (t1, t2), np.random.default_rng(909), n)
         prod = (c1 - c1.mean()) * (c2 - c2.mean())
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean() - cov_cfpp(GEO, alpha, t1, t2)) < 3 * se
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7])
+    def test_monte_carlo_process_and_increment_covariance(self, alpha):
+        # one set of renewal paths read at s, s + d, t, t + d gives both the
+        # LRD side, Cov(N(s), N(t)), and the SRD side, Cov(Z(s), Z(t)) of the
+        # increments Z(u) = N(u + d) - N(u)
+        s, t, d, n = 1.0, 3.0, 1.0, 200_000
+        rng = np.random.default_rng(31)
+        n_s, n_sd, n_t, n_td = _renewal_counts(GEO, alpha, (s, s + d, t, t + d), rng, n)
+        for a, b, exact in (
+            (n_s, n_t, cov_cfpp(GEO, alpha, s, t)),
+            (n_sd - n_s, n_td - n_t, cov_increment(GEO, alpha, s, t, d)),
+        ):
+            prod = (a - a.mean()) * (b - b.mean())
+            se = prod.std(ddof=1) / math.sqrt(n)
+            assert abs(prod.mean() - exact) < 3 * se
 
     def test_zero_time(self):
         assert cov_cfpp(GEO, 0.7, 0.0, 3.0) == 0.0

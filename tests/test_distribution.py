@@ -127,6 +127,8 @@ class TestStateProbabilities:
             pmf_cfpp_theta(GEO, 0.7, 1.0, 65)
         with pytest.raises(DomainError):
             pmf_cfpp_composition(GEO, 0.7, 1.0, 21)
+        with pytest.raises(DomainError):
+            pmf_tfpp(1.0, 0.5, 1.0, N_MAX_CEILING + 1)
 
     # The jump-sum matrix times the fractional-Poisson weights: the engine
     # pmf_cfpp ran before the contour recurrence, kept as its reference.
@@ -170,6 +172,9 @@ class TestStateProbabilities:
             jump_sum_pmf(GEO, n)
         with pytest.raises(DomainError):
             laplace_pmf(GEO, 0.7, n, 1.0)
+        for t in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                pmf_tfpp(1.0, 0.5, t, n)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

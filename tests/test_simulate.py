@@ -122,7 +122,7 @@ class TestJumpSampler:
             p = 0.5 * 0.5 ** (j - 1)
             assert abs(freq[j] - p) < 3 * math.sqrt(p * (1 - p) / N)
 
-    def test_finite_alias_law(self):
+    def test_finite_law(self):
         model = FiniteIntensity([2.0, 1.0, 0.5])
         rng = np.random.default_rng(6)
         draws = sample_jump(model, rng, N)
@@ -131,6 +131,23 @@ class TestJumpSampler:
             p = jump_pmf(model, j)
             assert abs(freq[j] - p) < 3 * math.sqrt(p * (1 - p) / N)
         assert freq[0] == 0.0
+
+    def test_inverse_cdf_skips_zero_probability_jumps(self):
+        # delta_1 = 0 and delta_2 = delta_3 = 0.5: the normalised cdf is
+        # [0, 0.5, 1], and a uniform at 0 or at a cdf boundary lands on the
+        # next jump, so jump 1 is never drawn
+        class Uniforms:
+            def __init__(self, u):
+                self.u = np.asarray(u)
+
+            def random(self, n):
+                assert n == self.u.size
+                return self.u
+
+        sampler = JumpSampler(FiniteIntensity([1.0, 1.0, 0.5]))
+        u = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)]
+        np.testing.assert_array_equal(sampler.sample(Uniforms(u), 4), [2, 2, 3, 3])
+        assert sampler.sample(Uniforms([0.0]), None) == 2
 
     def test_empirical_mean(self):
         model = FiniteIntensity([2.0, 1.0, 0.5])
@@ -260,6 +277,13 @@ class TestMonteCarloReports:
             for method in (METHOD_TIME_CHANGE, METHOD_RENEWAL):
                 with pytest.raises(DomainError):
                     sample_cfpp_batch(GEO, 0.5, t, np.random.default_rng(0), 10, method)
+        # non-finite times and rates in the sampler helpers, at both branches
+        for alpha in (0.5, 1.0):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    sample_inverse_stable(alpha, bad, np.random.default_rng(0), 10)
+                with pytest.raises(DomainError):
+                    ml_waiting_time(alpha, bad, np.random.default_rng(0), 10)
 
     def test_count_total_bound_refuses_before_drawing(self):
         # q near 1 gives jumps of about 1e9, so ten samples expect counts that
@@ -274,17 +298,3 @@ class TestMonteCarloReports:
             with pytest.raises(DomainError, match="summing to"):
                 sample_cfpp_batch(model, 0.7, 1.0, NoDraws(), 10, method)
 
-
-class TestAliasTableInternals:
-    def test_alias_reproduces_law_exactly_in_expectation(self):
-        model = FiniteIntensity([3.0, 2.0, 2.0, 0.5])
-        sampler = JumpSampler(model)
-        prob, alias = sampler._alias
-        m = len(prob)
-        # reconstruct cell probabilities from the table
-        law = np.zeros(m)
-        for i in range(m):
-            law[i] += prob[i] / m
-            law[alias[i]] += (1.0 - prob[i]) / m
-        want = np.array([jump_pmf(model, j) for j in range(1, m + 1)])
-        np.testing.assert_allclose(law, want, atol=1e-14)

@@ -13,6 +13,7 @@ from scipy import integrate, special
 import cfpp
 from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.special import (
+    N_MAX_CEILING,
     MLParams,
     complete_beta,
     incomplete_beta,
@@ -299,6 +300,11 @@ class TestWeightVector:
             ml_weights(0.5, -1.0, 4)
         with pytest.raises(DomainError):
             ml_weights(0.5, 60.0, 4)
+        # n_max is an integer row count up to the ceiling: no boolean, no
+        # fraction, and no allocation of (n_max + 1) x 256 rows past 4096
+        for n_max in (True, 2.5, -1, N_MAX_CEILING + 1):
+            with pytest.raises(DomainError):
+                ml_weights(0.5, 1.0, n_max)
 
 
 class TestIncompleteBeta:
