@@ -5,8 +5,9 @@ With Sigma = sum_j lambda_j, the mean and variance of the count are
     E N(t)   = R t^alpha,            R = Sigma / Gamma(alpha + 1),
     Var N(t) = S t^(2 alpha) + T t^alpha,
 
-where S and T are the quadratic and linear variance coefficients defined
-below, and for 0 < s <= t
+where S and T are the quadratic and linear variance coefficients; the
+three constants come from ``distribution._second_order``, which
+``var_cfpp`` also reads.  For 0 < s <= t
 
     Cov(N(s), N(t)) = T s^alpha + Sigma^2 Cov(H(s), H(t)),
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import var_cfpp
+from .distribution import _second_order, var_cfpp
 from .errors import DegenerateFitError, DomainError
 from .special import complete_beta, incomplete_beta
 
@@ -42,20 +43,8 @@ class DependenceParams:
     def from_model(cls, model, alpha):
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-        ga = math.gamma(alpha + 1.0)
-        sl = model.sum_lambda()
-        sjl = model.sum_j_lambda()
-        try:
-            var_quad = (2.0 / math.gamma(2.0 * alpha + 1.0) - 1.0 / ga**2) * sl**2
-        except OverflowError as exc:
-            raise DomainError(f"second-order coefficients overflow at sum lambda_j = {sl}") from exc
-        return cls(
-            alpha=alpha,
-            mean_coeff=sl / ga,
-            var_quad=var_quad,
-            var_lin=(sl + 2.0 * sjl) / ga,
-            sum_lambda=sl,
-        )
+        mean_coeff, var_quad, var_lin = _second_order(model, alpha)
+        return cls(alpha, mean_coeff, var_quad, var_lin, model.sum_lambda())
 
 
 def cov_inverse_stable(alpha: float, s: float, t: float) -> float:

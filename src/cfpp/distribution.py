@@ -15,13 +15,13 @@ law is compound Poisson and Panjer's recursion in t gives it directly.
 
 The compound form
 
-    p(n, t) = sum_{k=0}^{n}  Pr{X_1 + ... + X_k = n} * w_k(t),
+    p(n, t) = sum_{k=0}^{n}  J[k, n] w_k(t),   J[k, n] = Pr{X_1 + ... + X_k = n},
 
-with w_k the fractional-Poisson weights of ``special.ml_weights`` and the
-jump-sum matrix of ``jump_sum_pmf``, is kept as the independent side of
-``pmf_cpp`` and ``laplace_pmf``; the padded ("theta") and composition forms
-of the partition sum are literal enumerations kept as cross-checking
-oracles.
+with w_k the weights of ``special.ml_weights``, is the one frame of the
+oracle pmfs; each fills J its own way: padded ("theta") multiplicity
+vectors, ordered compositions, or (``pmf_cpp``) ``jump_sum_pmf``.  The
+constants (R, S, T) of E N(t) = R t^alpha and Var N(t) = S t^(2 alpha) +
+T t^alpha are computed once, in ``_second_order``.
 """
 
 from __future__ import annotations
@@ -233,37 +233,64 @@ def pmf_cfpp(model, alpha: float, t: float, n_max: int | None = None) -> StateDi
     return StateDistribution(alpha, t, probs, FORMULA_LAMBDA, 1.0 - float(probs.sum()))
 
 
+def _compound_pmf(model, alpha, t, n_max, ceiling, formula, jump_sums):
+    """p(n, t) = sum_k J[k, n] w_k(t) for n = 0..n_max, with J = jump_sums(model, n_max).
+
+    With n_max omitted it is the auto-sized pmf_cfpp's, capped at ``ceiling``.
+    """
+    _validate_common(model, alpha, t)
+    if n_max is None:
+        n_max = min(default_n_max(model, alpha, t), ceiling)
+    n_max = _check_n_max(n_max, ceiling)
+    if t == 0:
+        return _point_mass(alpha, t, n_max, formula)
+    w = special.ml_weights(alpha, model.lambda_at(0) * t**alpha, n_max)
+    probs = jump_sums(model, n_max).T @ w
+    return StateDistribution(alpha, t, probs, formula, 1.0 - float(probs.sum()))
+
+
+def _theta_jump_sums(model, n_max):
+    """J[k, n] = sum over padded multiplicity vectors of k! / prod k_j! prod g_j^k_j."""
+    g = [intens.jump_pmf(model, j) for j in range(1, n_max + 1)]
+    out = np.zeros((n_max + 1, n_max + 1))
+    out[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            total = 0.0
+            for vec in partitions.iter_multiplicity_vectors(n, k, n):
+                term = float(partitions.multinomial(k, vec))
+                for gj, kj in zip(g, vec):
+                    if kj:
+                        term *= gj**kj
+                total += term
+            out[k, n] = total
+    return out
+
+
+def _composition_jump_sums(model, n_max):
+    """J[k, n] = sum over ordered compositions (m_1, ..., m_k) of n of prod g_m."""
+    g = [0.0] + [intens.jump_pmf(model, j) for j in range(1, n_max + 1)]  # 1-indexed
+    out = np.zeros((n_max + 1, n_max + 1))
+    out[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            total = 0.0
+            for comp in partitions.enumerate_compositions(n, k):
+                term = 1.0
+                for m in comp:
+                    term *= g[m]
+                total += term
+            out[k, n] = total
+    return out
+
+
 def pmf_cfpp_theta(model, alpha: float, t: float, n_max: int | None = None) -> StateDistribution:
     """As pmf_cfpp, via literal enumeration of the padded index sets.
 
     Enumeration cost grows with the partition numbers, so this oracle path
     is capped at n_max <= 64.
     """
-    _validate_common(model, alpha, t)
-    if n_max is None:
-        n_max = min(default_n_max(model, alpha, t), THETA_N_CEILING)
-    n_max = _check_n_max(n_max, THETA_N_CEILING)
-    if t == 0:
-        return _point_mass(alpha, t, n_max, FORMULA_THETA)
-    lam0 = model.lambda_at(0)
-    w = special.ml_weights(alpha, lam0 * t**alpha, n_max)
-    q = [w[k] / lam0**k for k in range(n_max + 1)]  # t^{k a} E^{k+1}(-lam0 t^a)
-    d = intens.deltas(model, n_max)
-    probs = np.zeros(n_max + 1)
-    probs[0] = q[0]
-    for n in range(1, n_max + 1):
-        total = 0.0
-        for k in range(1, n + 1):
-            coef = 0.0
-            for vec in partitions.iter_multiplicity_vectors(n, k, n):
-                term = float(partitions.multinomial(k, vec))
-                for dj, kj in zip(d, vec):
-                    if kj:
-                        term *= dj**kj
-                coef += term
-            total += coef * q[k]
-        probs[n] = total
-    return StateDistribution(alpha, t, probs, FORMULA_THETA, 1.0 - float(probs.sum()))
+    return _compound_pmf(model, alpha, t, n_max, THETA_N_CEILING, FORMULA_THETA, _theta_jump_sums)
 
 
 def pmf_cfpp_composition(model, alpha: float, t: float, n_max: int | None = None) -> StateDistribution:
@@ -272,53 +299,17 @@ def pmf_cfpp_composition(model, alpha: float, t: float, n_max: int | None = None
     The number of compositions doubles with every extra state, so this
     oracle path is capped at n_max <= 20.
     """
-    _validate_common(model, alpha, t)
-    if n_max is None:
-        n_max = min(default_n_max(model, alpha, t), COMPOSITION_N_CEILING)
-    n_max = _check_n_max(n_max, COMPOSITION_N_CEILING)
-    if t == 0:
-        return _point_mass(alpha, t, n_max, FORMULA_COMPOSITION)
-    lam0 = model.lambda_at(0)
-    w = special.ml_weights(alpha, lam0 * t**alpha, n_max)
-    q = [w[k] / lam0**k for k in range(n_max + 1)]
-    d = [0.0] + intens.deltas(model, n_max)  # 1-indexed
-    probs = np.zeros(n_max + 1)
-    probs[0] = q[0]
-    for n in range(1, n_max + 1):
-        total = 0.0
-        for k in range(1, n + 1):
-            coef = 0.0
-            for comp in partitions.enumerate_compositions(n, k):
-                term = 1.0
-                for m in comp:
-                    term *= d[m]
-                coef += term
-            total += coef * q[k]
-        probs[n] = total
-    return StateDistribution(alpha, t, probs, FORMULA_COMPOSITION, 1.0 - float(probs.sum()))
+    return _compound_pmf(
+        model, alpha, t, n_max, COMPOSITION_N_CEILING, FORMULA_COMPOSITION, _composition_jump_sums
+    )
 
 
 def pmf_cpp(model, t: float, n_max: int | None = None) -> StateDistribution:
-    """Count distribution of the alpha = 1 process, in closed form.
+    """Count distribution of the alpha = 1 process: Poisson weights on the jump-sum matrix.
 
-    p(n, t) = e^(-lambda_0 t) sum_k [coefficient] t^k with no k! in front:
-    the k-th fractional weight collapses to t^k e^(-lambda_0 t) / k! when
-    alpha = 1, and the k! of the partition sum cancels against it.
+    Like every exact pmf it is refused for lambda_0 t > 50.
     """
-    _validate_common(model, 1.0, t)
-    if n_max is None:
-        n_max = min(default_n_max(model, 1.0, t), ORACLE_N_CEILING)
-    n_max = _check_n_max(n_max, ORACLE_N_CEILING)
-    if t == 0:
-        return _point_mass(1.0, t, n_max, FORMULA_CPP)
-    lam0 = model.lambda_at(0)
-    log_poisson = [
-        -lam0 * t + k * math.log(lam0 * t) - math.lgamma(k + 1) if k else -lam0 * t
-        for k in range(n_max + 1)
-    ]
-    w = np.exp(log_poisson)
-    probs = jump_sum_pmf(model, n_max).T @ w
-    return StateDistribution(1.0, t, probs, FORMULA_CPP, 1.0 - float(probs.sum()))
+    return _compound_pmf(model, 1.0, t, n_max, ORACLE_N_CEILING, FORMULA_CPP, jump_sum_pmf)
 
 
 def pmf_tfpp(lambda0: float, alpha: float, t: float, n_max: int) -> np.ndarray:
@@ -353,21 +344,15 @@ def mgf(model, alpha: float, t: float, w: float) -> float:
 
 
 def laplace_pmf(model, alpha: float, n: int, s: float) -> float:
-    """Laplace transform (in t) of p(n, t), evaluated at s > 0."""
+    """Laplace transform (in t) of p(n, t) at s > 0: s^(alpha - 1) / c sum_k J[k, n] r^k,
+    with c = s^alpha + lambda_0, r = lambda_0 / c and J the jump-sum matrix."""
     _validate_common(model, alpha, 0.0)
     if s <= 0:
         raise DomainError(f"s must be positive, got {s}")
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
     lam0 = model.lambda_at(0)
-    base = s ** (alpha - 1.0) / (s**alpha + lam0)
-    if n == 0:
-        return base
-    J = jump_sum_pmf(model, n)
-    total = 0.0
-    for k in range(1, n + 1):
-        total += J[k, n] * lam0**k * base / (s**alpha + lam0) ** k
-    return total
+    c = s**alpha + lam0
+    column = jump_sum_pmf(model, n)[:, n]
+    return s ** (alpha - 1.0) / c * float(column @ (lam0 / c) ** np.arange(n + 1))
 
 
 def laplace_pgf(model, alpha: float, u: float, s: float) -> float:
@@ -396,20 +381,27 @@ def mean_cfpp(model, alpha: float, t: float) -> float:
     return t**alpha * model.sum_lambda() / math.gamma(alpha + 1.0)
 
 
-def var_cfpp(model, alpha: float, t: float) -> float:
-    """Var N(t), four-term closed form."""
-    _validate_common(model, alpha, t)
-    ta = t**alpha
+def _second_order(model, alpha):
+    """(R, S, T) with E N(t) = R t^alpha and Var N(t) = S t^(2 alpha) + T t^alpha.
+
+    S is exactly 0 at alpha = 1.
+    """
     ga = math.gamma(alpha + 1.0)
     sl = model.sum_lambda()
-    sjl = model.sum_j_lambda()
     try:
-        var = (
-            ta * sl / ga
-            + 2.0 * ta * sjl / ga
-            + 2.0 * (ta * sl) ** 2 / math.gamma(2.0 * alpha + 1.0)
-            - (ta * sl) ** 2 / ga**2
-        )
+        var_quad = (2.0 / math.gamma(2.0 * alpha + 1.0) - 1.0 / ga**2) * sl**2
+    except OverflowError as exc:
+        raise DomainError(f"second-order coefficients overflow at sum lambda_j = {sl}") from exc
+    return sl / ga, var_quad, (sl + 2.0 * model.sum_j_lambda()) / ga
+
+
+def var_cfpp(model, alpha: float, t: float) -> float:
+    """Var N(t) = S t^(2 alpha) + T t^alpha, with S and T of ``_second_order``."""
+    _validate_common(model, alpha, t)
+    _, var_quad, var_lin = _second_order(model, alpha)
+    ta = t**alpha
+    try:
+        var = var_quad * ta**2 + var_lin * ta
     except OverflowError:
         var = math.inf
     if not math.isfinite(var):

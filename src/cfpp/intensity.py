@@ -65,13 +65,7 @@ class FiniteIntensity:
     def falling_factorial_delta_sum(self, m: int) -> float:
         if m < 0:
             raise DomainError(f"order must be >= 0, got {m}")
-        total = 0.0
-        for j in range(1, len(self.values) + 1):
-            ff = 1.0
-            for i in range(m):
-                ff *= j - i
-            total += ff * self.delta(j)
-        return total
+        return sum(math.perm(j, m) * self.delta(j) for j in range(1, len(self.values) + 1))
 
     def to_config(self) -> dict:
         return {"type": "finite", "values": list(self.values)}
@@ -155,13 +149,6 @@ def delta_series(model: IntensityModel, u: float) -> float:
     for j in range(1, model.jump_support_max + 1):
         total += u**j * delta(model, j)
     return total
-
-
-def deltas(model: IntensityModel, n: int) -> list:
-    """[delta_1, ..., delta_n]."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    return [delta(model, j) for j in range(1, n + 1)]
 
 
 def config_number(value) -> float:

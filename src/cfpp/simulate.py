@@ -69,24 +69,29 @@ class MCReport:
     method: str
 
 
-def sample_stable(alpha: float, rng, size=None):
-    """Standard one-sided alpha-stable variate(s) with E e^(-s S) = e^(-s^alpha).
+def _log_stable(alpha, rng, n):
+    """log S for n standard one-sided alpha-stable draws S, 0 < alpha < 1.
 
-    Chambers-Mallows-Stuck construction specialized to maximal skew.  The
-    alpha = 1 limit is the point mass at 1 and is not covered here; callers
-    branch on it.
+    Chambers-Mallows-Stuck construction specialized to maximal skew, taken
+    in logs: at small alpha S itself overflows where S^(-alpha) does not.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"stable sampling needs 0 < alpha < 1, got {alpha}")
-    scalar = size is None
-    n = 1 if scalar else size
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
     w = rng.exponential(1.0, n)
     shifted = alpha * (v + np.pi / 2.0)
-    s = (np.sin(shifted) / np.cos(v) ** (1.0 / alpha)) * (
-        np.cos(v - shifted) / w
-    ) ** ((1.0 - alpha) / alpha)
-    return float(s[0]) if scalar else s
+    log_ratio = np.log(np.cos(v - shifted)) - np.log(w)
+    return np.log(np.sin(shifted)) - np.log(np.cos(v)) / alpha + (1.0 - alpha) / alpha * log_ratio
+
+
+def sample_stable(alpha: float, rng, size=None):
+    """Standard one-sided alpha-stable variate(s) with E e^(-s S) = e^(-s^alpha).
+
+    The alpha = 1 limit is the point mass at 1 and is not covered here;
+    callers branch on it.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"stable sampling needs 0 < alpha < 1, got {alpha}")
+    s = np.exp(_log_stable(alpha, rng, 1 if size is None else size))
+    return float(s[0]) if size is None else s
 
 
 def sample_inverse_stable(alpha: float, t: float, rng, size=None):
@@ -97,8 +102,8 @@ def sample_inverse_stable(alpha: float, t: float, rng, size=None):
         raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 1.0:
         return float(t) if size is None else np.full(size, float(t))
-    s = sample_stable(alpha, rng, size)
-    return (t / s) ** alpha
+    h = np.exp(alpha * (math.log(t) - _log_stable(alpha, rng, 1 if size is None else size)))
+    return float(h[0]) if size is None else h
 
 
 def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
@@ -119,7 +124,9 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
         return float(w[0]) if scalar else w
     u = rng.random(n)
     v = rng.random(n)
-    with np.errstate(divide="ignore"):
+    # V = 0 divides by zero, and at small alpha Z^(1/alpha) overflows: W = inf
+    # is a path that renews at no finite t, which the renewal loop retires.
+    with np.errstate(divide="ignore", over="ignore"):
         z = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
         w = -np.log1p(-u) * z ** (1.0 / alpha) * lambda0 ** (-1.0 / alpha)
     return float(w[0]) if scalar else w
@@ -136,7 +143,6 @@ class JumpSampler:
     """
 
     def __init__(self, model):
-        self._model = model
         if isinstance(model, intens.GeometricIntensity):
             self._p_success = 1.0 - model.q
             self._cdf = None

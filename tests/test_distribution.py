@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cfpp.cli import EXIT_OK, main
+from cfpp.dependence import DependenceParams
 from cfpp.distribution import (
     FORMULA_CPP,
     N_MAX_CEILING,
@@ -163,7 +164,7 @@ class TestStateProbabilities:
         with pytest.raises(DomainError):
             laplace_pmf(GEO, 0.7, n, 1.0)
 
-    @pytest.mark.parametrize("n", [2.5, True])
+    @pytest.mark.parametrize("n", [2.5, True, 0.0])
     def test_state_count_must_be_an_integer(self, n):
         for call in (pmf_cfpp, pmf_cfpp_theta, pmf_cfpp_composition):
             with pytest.raises(DomainError):
@@ -206,10 +207,15 @@ class TestCppReduction:
         poisson = [math.exp(-lam * t) * (lam * t) ** n / math.factorial(n) for n in range(21)]
         np.testing.assert_allclose(sd.probs, poisson, atol=1e-14)
 
+    def test_cpp_refuses_beyond_the_weight_domain(self):
+        # lambda_0 t = 60 > 50: the Poisson weights of ml_weights are refused
+        with pytest.raises(DomainError):
+            pmf_cpp(GEO, 60.0, 100)
+
     @pytest.mark.parametrize("k", range(7))
     def test_ml_weight_collapse_at_alpha_one(self, k):
-        # k! E^{k+1}_{1, k+1}(-x) = e^{-x}: the reason the CPP closed form
-        # carries no k!; asserted rather than assumed.
+        # k! E^{k+1}_{1, k+1}(-x) = e^{-x}: the reason the alpha = 1 weights
+        # that pmf_cpp reads are the Poisson pmf; asserted rather than assumed.
         for x in (0.3, 2.0, 7.5):
             got = math.factorial(k) * ml_three(MLParams(1.0, k + 1.0, k + 1.0), -x)
             np.testing.assert_allclose(got, math.exp(-x), rtol=1e-11)
@@ -303,6 +309,13 @@ class TestMoments:
         np.testing.assert_allclose(var_cfpp(GEO, 1.0, 1.0), 6.0, rtol=1e-13)
         assert mean_cfpp(GEO, 0.7, 0.0) == 0.0
         assert var_cfpp(GEO, 0.7, 0.0) == 0.0
+
+    @pytest.mark.parametrize("model", [GEO, STEP])
+    def test_levy_variance_is_linear(self, model):
+        # S is exactly 0 at alpha = 1, so nothing cancels at large t
+        var_lin = DependenceParams.from_model(model, 1.0).var_lin
+        for t in (1e12, 1e15):
+            assert var_cfpp(model, 1.0, t) == var_lin * t
 
     def test_first_moment_is_mean(self):
         for model, alpha, t in ((GEO, 0.5, 0.8), (STEP, 0.9, 2.0), (UNIT, 1.0, 1.0)):

@@ -9,7 +9,6 @@ from cfpp.intensity import (
     GeometricIntensity,
     delta,
     delta_series,
-    deltas,
     from_config,
     jump_pmf,
     lambda_at,
@@ -122,10 +121,6 @@ class TestDerivedSeries:
             np.testing.assert_allclose(
                 model.falling_factorial_delta_sum(m_order), direct, rtol=1e-9
             )
-
-    def test_deltas_helper(self):
-        m = GeometricIntensity(1.0, 0.5)
-        np.testing.assert_allclose(deltas(m, 3), [0.5, 0.25, 0.125])
 
 
 class TestValidationAndConfig:

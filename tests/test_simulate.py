@@ -217,6 +217,12 @@ class TestCountSampler:
             assert abs(emp.real - want.real) < 3 * se_re
             assert abs(emp.imag - want.imag) < 3 * se_im
 
+    @pytest.mark.parametrize("method", [METHOD_TIME_CHANGE, METHOD_RENEWAL])
+    def test_small_alpha_mean(self, method):
+        # at alpha = 0.01 a stable draw S overflows, but S^(-alpha) does not
+        rep = mc_pmf(GEO, 0.01, 1.0, SamplerConfig(seed=12, n_samples=N, method=method))
+        assert abs(rep.sample_mean - mean_cfpp(GEO, 0.01, 1.0)) < 3 * rep.mean_se
+
 
 class TestMonteCarloReports:
     def test_determinism_contract(self):
