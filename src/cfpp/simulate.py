@@ -10,6 +10,11 @@ Two exact samplers are provided for the count at a fixed time t:
 
 Finite jump laws are drawn by inverse CDF, geometric ones by ``rng.geometric``.
 
+A batch is drawn as consecutive blocks of BLOCK samples from one generator,
+each block a complete draw, so a worker's per-sample arrays hold at most
+BLOCK entries whatever its batch size; a batch of at most BLOCK samples is
+one block.
+
 Reproducibility contract: worker w draws from the substream spawned from
 (seed, w) and contributes n_samples // workers samples, one more for the
 first n_samples % workers workers, so a report holds exactly n_samples
@@ -29,10 +34,14 @@ from . import intensity as intens
 from .errors import DomainError
 
 # Ceiling on the expected sum of the counts one batch draws.  Every jump is at
-# least 1, so it also caps the jumps, which the time-change sampler holds all
-# at once, and the largest count, which sizes the report's bincount (1e8
-# int64 jumps or float64 bins are about 0.8 GB).
+# least 1, so it also caps the number of jumps, and with them the run time and
+# the jumps one block holds at once, and the largest count, which sizes the
+# report's bincount (1e8 int64 jumps or float64 bins are about 0.8 GB).
 MAX_EXPECTED_COUNT_TOTAL = 1e8
+
+# Samples per block of a batch: each block draws its stable variates, Poisson
+# counts and jumps (or its renewal paths) before the next one starts.
+BLOCK = 32768
 
 METHOD_TIME_CHANGE = "TimeChange"
 METHOD_RENEWAL = "RenewalCompound"
@@ -69,17 +78,26 @@ class MCReport:
     method: str
 
 
+def _log_sin(y):
+    """log sin(y) for y in (0, pi], from the half-angle tangent: sin y = 2 tau / (1 + tau^2)."""
+    tau = np.tan(y / 2.0)
+    return np.log(2.0 * tau) - np.log1p(tau * tau)
+
+
 def _log_stable(alpha, rng, n):
     """log S for n standard one-sided alpha-stable draws S, 0 < alpha < 1.
 
-    Chambers-Mallows-Stuck construction specialized to maximal skew, taken
-    in logs: at small alpha S itself overflows where S^(-alpha) does not.
+    Kanter's representation, S = sin(alpha phi) / sin(phi)^(1/alpha)
+    (sin((1 - alpha) phi) / W)^((1 - alpha)/alpha) with phi uniform on
+    (0, pi) and W standard exponential, taken in logs: at small alpha S
+    itself overflows where S^(-alpha) does not.  phi = pi U is the
+    Chambers-Mallows-Stuck angle v + pi/2 of the same uniform draw; U = 0,
+    where every sine vanishes, is read as the next uniform, 2^-53.
     """
-    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+    phi = np.pi * np.maximum(rng.random(n), 2.0**-53)
     w = rng.exponential(1.0, n)
-    shifted = alpha * (v + np.pi / 2.0)
-    log_ratio = np.log(np.cos(v - shifted)) - np.log(w)
-    return np.log(np.sin(shifted)) - np.log(np.cos(v)) / alpha + (1.0 - alpha) / alpha * log_ratio
+    log_ratio = _log_sin((1.0 - alpha) * phi) - np.log(w)
+    return _log_sin(alpha * phi) - _log_sin(phi) / alpha + (1.0 - alpha) / alpha * log_ratio
 
 
 def sample_stable(alpha: float, rng, size=None):
@@ -109,7 +127,7 @@ def sample_inverse_stable(alpha: float, t: float, rng, size=None):
 def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
     """Mittag-Leffler waiting time(s) with survival E_alpha(-lambda_0 t^alpha).
 
-    Exponential-mixture form W = -ln(U) Z^(1/alpha) / lambda_0^(1/alpha)
+    Exponential-mixture form W = -ln(U) (Z / lambda_0)^(1/alpha)
     with Z = sin(alpha pi) / tan(alpha pi V) - cos(alpha pi); reduces to an
     Exponential(lambda_0) at alpha = 1.
     """
@@ -124,11 +142,14 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
         return float(w[0]) if scalar else w
     u = rng.random(n)
     v = rng.random(n)
-    # V = 0 divides by zero, and at small alpha Z^(1/alpha) overflows: W = inf
-    # is a path that renews at no finite t, which the renewal loop retires.
-    with np.errstate(divide="ignore", over="ignore"):
+    # V = 0 divides by zero, and at small alpha (Z / lambda_0)^(1/alpha)
+    # overflows: W = inf is a path that renews at no finite t, which the
+    # renewal loop retires.  It stays inf, not NaN, when U = 0 makes the
+    # exponential factor 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
-        w = -np.log1p(-u) * z ** (1.0 / alpha) * lambda0 ** (-1.0 / alpha)
+        scale = (z / lambda0) ** (1.0 / alpha)
+        w = np.where(scale == np.inf, np.inf, -np.log1p(-u) * scale)
     return float(w[0]) if scalar else w
 
 
@@ -158,7 +179,7 @@ class JumpSampler:
             out = rng.geometric(self._p_success, n)
         else:
             out = np.searchsorted(self._cdf, rng.random(n), side="right") + 1
-        return int(out[0]) if scalar else out.astype(np.int64)
+        return int(out[0]) if scalar else out.astype(np.int64, copy=False)
 
 
 def sample_jump(model, rng, size=None):
@@ -167,17 +188,21 @@ def sample_jump(model, rng, size=None):
 
 
 def _jump_totals(jump_sampler, counts, rng):
-    """Sum counts[i] iid jumps for every i, vectorized."""
+    """Sum counts[i] iid jumps for every i, vectorized.
+
+    Sample i owns the next counts[i] jumps, so its total is the difference of
+    the jumps' prefix sums at the ends of its segment and of the one before.
+    """
     total = int(counts.sum())
     if total == 0:
         return np.zeros(len(counts), dtype=np.int64)
-    jumps = jump_sampler.sample(rng, total)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return np.bincount(owner, weights=jumps, minlength=len(counts)).astype(np.int64)
+    prefix = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(jump_sampler.sample(rng, total), out=prefix[1:])
+    return np.diff(prefix[np.cumsum(counts)], prepend=0)
 
 
 def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
-    """Vector of `size` iid counts at time t.
+    """Vector of `size` iid counts at time t, drawn in blocks of BLOCK samples.
 
     Refused with DomainError, before anything is drawn, when the expected
     sum of the counts, size t^alpha sum_j lambda_j / Gamma(1 + alpha),
@@ -198,14 +223,21 @@ def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
             f"{size} samples at t={t} expect counts summing to {expected_total:.3g}, "
             f"more than {MAX_EXPECTED_COUNT_TOTAL:.0e}"
         )
-    if method == METHOD_TIME_CHANGE:
-        h = sample_inverse_stable(alpha, t, rng, size)
+    counts = np.empty(size, dtype=np.int64)
+    blocks = [counts[start : start + BLOCK] for start in range(0, size, BLOCK)]
+    if method == METHOD_RENEWAL:
+        for block in blocks:
+            block[:] = _renewal_counts(model, alpha, (t,), rng, block.size)[0]
+        return counts
+    sampler = JumpSampler(model)
+    for block in blocks:
+        h = sample_inverse_stable(alpha, t, rng, block.size)
         try:
             n_events = rng.poisson(lam0 * h)
         except ValueError as exc:  # NaN or huge rates: the stable draws broke down
             raise DomainError(f"no Poisson draw at alpha={alpha}, t={t}: {exc}") from exc
-        return _jump_totals(JumpSampler(model), n_events, rng)
-    return _renewal_counts(model, alpha, (t,), rng, size)[0]
+        block[:] = _jump_totals(sampler, n_events, rng)
+    return counts
 
 
 def _renewal_counts(model, alpha, times, rng, size):

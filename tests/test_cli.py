@@ -247,6 +247,15 @@ class TestSimulateCommand:
     def test_bad_sampler_settings_exit_2(self, geo_config, capsys):
         assert main(["simulate", "--config", geo_config, "--samples", "0"]) == EXIT_BAD_CONFIG
 
+    def test_renewal_at_small_alpha_and_rate(self, tmp_path, capsys):
+        # (Z / lambda_0)^(1/alpha) overflows at alpha 0.001, lambda_0 0.05:
+        # those waiting times are inf, paths with no renewal
+        cfg = tmp_path / "slow.json"
+        cfg.write_text(json.dumps({"intensity": dict(_GEO, lambda0=0.05), "alpha": 0.001, "t": 1.0}))
+        argv = ["simulate", "--config", str(cfg), "--method", "renewal", "--samples", "10", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestMomentsCommand:
     def test_variance_consistent_with_pmf(self, geo_config, capsys):

@@ -10,11 +10,13 @@ from cfpp.distribution import mean_cfpp, pmf_cfpp, var_cfpp
 from cfpp.errors import DomainError
 from cfpp.intensity import FiniteIntensity, GeometricIntensity, delta, jump_pmf
 from cfpp.simulate import (
+    BLOCK,
     METHOD_RENEWAL,
     METHOD_TIME_CHANGE,
     MCReport,
     SamplerConfig,
     JumpSampler,
+    _log_stable,
     _report_from_counts,
     mc_pmf,
     ml_waiting_time,
@@ -28,6 +30,31 @@ from cfpp.special import ml_one
 
 GEO = GeometricIntensity(1.0, 0.5)
 N = 100_000
+
+
+class Draws:
+    """Stub generator: each `random` call hands out the next fixed array of
+    uniforms, and `exponential` the fixed exponentials."""
+
+    def __init__(self, *uniforms, exponentials=()):
+        self.uniforms = [np.asarray(u, dtype=float) for u in uniforms]
+        self.exponentials = np.asarray(exponentials, dtype=float)
+
+    def random(self, n):
+        u = self.uniforms.pop(0)
+        assert n == u.size
+        return u
+
+    def exponential(self, scale, n):
+        assert scale == 1.0 and n == self.exponentials.size
+        return self.exponentials
+
+
+def log_stable_cms(alpha, v, w):
+    """Chambers-Mallows-Stuck log S at angle v in (-pi/2, pi/2), the oracle for Kanter's form."""
+    shifted = alpha * (v + np.pi / 2.0)
+    log_ratio = np.log(np.cos(v - shifted)) - np.log(w)
+    return np.log(np.sin(shifted)) - np.log(np.cos(v)) / alpha + (1.0 - alpha) / alpha * log_ratio
 
 
 class TestStableSampler:
@@ -50,6 +77,21 @@ class TestStableSampler:
         rng = np.random.default_rng(0)
         s = sample_stable(0.6, rng)
         assert isinstance(s, float) and s > 0
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.7, 0.99])
+    def test_kanter_form_matches_chambers_mallows_stuck(self, alpha):
+        # the same draws: Kanter at phi = pi U, CMS at v = phi - pi/2
+        rng = np.random.default_rng(505)
+        u, w = rng.random(10_000), rng.exponential(1.0, 10_000)
+        got = _log_stable(alpha, Draws(u, exponentials=w), u.size)
+        want = log_stable_cms(alpha, np.pi * u - np.pi / 2.0, w)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+    def test_zero_uniform_gives_a_finite_draw(self, alpha):
+        # U = 0 is phi = 0, where every sine of the form vanishes
+        log_s = _log_stable(alpha, Draws([0.0, 0.5], exponentials=[1.0, 1.0]), 2)
+        assert np.all(np.isfinite(log_s))
 
 
 class TestInverseStable:
@@ -99,6 +141,26 @@ class TestWaitingTimes:
             se = math.sqrt(exact * (1 - exact) / N)
             assert abs(emp - exact) < 3 * se
 
+    def test_small_rate_overflow_is_no_renewal(self):
+        # (Z / lambda_0)^(1/alpha) overflows at alpha 0.01, lambda_0 1e-4
+        w = ml_waiting_time(0.01, 1e-4, np.random.default_rng(3), 3)
+        assert not np.any(np.isnan(w)) and np.all(w >= 0) and np.any(w == np.inf)
+
+    def test_zero_uniforms_give_no_nan(self):
+        # U = 0 makes the exponential factor 0 and V = 0 the scale infinite
+        w = ml_waiting_time(0.7, 1.0, Draws([0.0, 0.0, 0.5, 0.5], [0.0, 0.5, 0.0, 0.5]), 4)
+        assert w[0] == np.inf and w[2] == np.inf
+        assert np.all(np.isfinite(w[[1, 3]])) and w[1] == 0.0 and w[3] > 0
+
+    def test_unit_rate_bits_unchanged(self):
+        # at lambda_0 = 1 the waiting time is -log(1 - U) Z^(1/alpha), bit for bit
+        alpha = 0.7
+        w = ml_waiting_time(alpha, 1.0, np.random.default_rng(9), 1000)
+        rng = np.random.default_rng(9)
+        u, v = rng.random(1000), rng.random(1000)
+        z = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
+        np.testing.assert_array_equal(w, -np.log1p(-u) * z ** (1.0 / alpha))
+
     def test_alpha_one_is_exponential(self):
         rng = np.random.default_rng(1)
         w = ml_waiting_time(1.0, 2.0, rng, N)
@@ -136,18 +198,10 @@ class TestJumpSampler:
         # delta_1 = 0 and delta_2 = delta_3 = 0.5: the normalised cdf is
         # [0, 0.5, 1], and a uniform at 0 or at a cdf boundary lands on the
         # next jump, so jump 1 is never drawn
-        class Uniforms:
-            def __init__(self, u):
-                self.u = np.asarray(u)
-
-            def random(self, n):
-                assert n == self.u.size
-                return self.u
-
         sampler = JumpSampler(FiniteIntensity([1.0, 1.0, 0.5]))
         u = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)]
-        np.testing.assert_array_equal(sampler.sample(Uniforms(u), 4), [2, 2, 3, 3])
-        assert sampler.sample(Uniforms([0.0]), None) == 2
+        np.testing.assert_array_equal(sampler.sample(Draws(u), 4), [2, 2, 3, 3])
+        assert sampler.sample(Draws([0.0]), None) == 2
 
     def test_empirical_mean(self):
         model = FiniteIntensity([2.0, 1.0, 0.5])
@@ -218,6 +272,17 @@ class TestCountSampler:
             assert abs(emp.imag - want.imag) < 3 * se_im
 
     @pytest.mark.parametrize("method", [METHOD_TIME_CHANGE, METHOD_RENEWAL])
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_blocks_continue_one_stream(self, method, alpha):
+        # a batch one block and five samples long is a block, then five more
+        # samples drawn in sequence from the same generator
+        batch = sample_cfpp_batch(GEO, alpha, 1.0, np.random.default_rng(31), BLOCK + 5, method)
+        rng = np.random.default_rng(31)
+        first = sample_cfpp_batch(GEO, alpha, 1.0, rng, BLOCK, method)
+        rest = sample_cfpp_batch(GEO, alpha, 1.0, rng, 5, method)
+        np.testing.assert_array_equal(batch, np.concatenate([first, rest]))
+
+    @pytest.mark.parametrize("method", [METHOD_TIME_CHANGE, METHOD_RENEWAL])
     def test_small_alpha_mean(self, method):
         # at alpha = 0.01 a stable draw S overflows, but S^(-alpha) does not
         rep = mc_pmf(GEO, 0.01, 1.0, SamplerConfig(seed=12, n_samples=N, method=method))
@@ -225,8 +290,9 @@ class TestCountSampler:
 
 
 class TestMonteCarloReports:
-    def test_determinism_contract(self):
-        cfg = SamplerConfig(seed=77, n_samples=4000, workers=3, method=METHOD_TIME_CHANGE)
+    @pytest.mark.parametrize("n_samples,workers", [(4000, 3), (2 * BLOCK + 1, 1)])
+    def test_determinism_contract(self, n_samples, workers):
+        cfg = SamplerConfig(seed=77, n_samples=n_samples, workers=workers, method=METHOD_TIME_CHANGE)
         r1 = mc_pmf(GEO, 0.7, 1.0, cfg)
         r2 = mc_pmf(GEO, 0.7, 1.0, cfg)
         np.testing.assert_array_equal(r1.empirical_pmf, r2.empirical_pmf)
