@@ -15,12 +15,16 @@ with H the inverse alpha-stable subordinator.  All returned values come
 from these exact expressions; the power-law decay rates that classify the
 long- and short-range dependence regimes live in the tests as expected
 limits, never as computation paths.
+
+Every time, lag and level argument must be finite, and a value that
+overflows or is not finite is refused with DomainError rather than
+returned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,46 +33,67 @@ from .errors import DegenerateFitError, DomainError
 from .special import complete_beta, incomplete_beta
 
 
-@dataclass(frozen=True)
-class DependenceParams:
-    """The three constants (R, S, T) entering every second-order formula."""
+def _finite(func):
+    """Refuse non-finite numbers among the arguments, and an overflow or a non-finite value."""
 
-    alpha: float
-    mean_coeff: float  # R: E N(t) = R t^alpha
-    var_quad: float  # S: coefficient of t^(2 alpha) in Var N(t)
-    var_lin: float  # T: coefficient of t^alpha in Var N(t)
-    sum_lambda: float
+    @functools.wraps(func)
+    def checked(*args):
+        numbers = tuple(a for a in args if isinstance(a, (int, float)))
+        if not all(math.isfinite(a) for a in numbers):
+            raise DomainError(f"{func.__name__} needs finite arguments, got {numbers}")
+        try:
+            value = func(*args)
+        except OverflowError as exc:
+            raise DomainError(f"{func.__name__} overflows at {numbers}") from exc
+        if not math.isfinite(value):
+            raise DomainError(f"{func.__name__} is not finite at {numbers}")
+        return value
 
-    @classmethod
-    def from_model(cls, model, alpha):
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-        mean_coeff, var_quad, var_lin = _second_order(model, alpha)
-        return cls(alpha, mean_coeff, var_quad, var_lin, model.sum_lambda())
+    return checked
 
 
+@_finite
 def cov_inverse_stable(alpha: float, s: float, t: float) -> float:
-    """Cov(H(s), H(t)) of the inverse alpha-stable subordinator, 0 < s <= t."""
+    """Cov(H(s), H(t)) of the inverse alpha-stable subordinator, 0 < s <= t.
+
+    With x = s / t, f = alpha t^(2 alpha) B(alpha, alpha + 1; x) - (ts)^alpha
+    cancels as t grows, so for x <= 1/2 it is summed as (ts)^alpha
+    sum_(n>=1) alpha / (alpha + n) c_n x^n, c_n the coefficients of
+    (1 - u)^alpha: the incomplete beta's series without its n = 0 term.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < s <= t:
         raise DomainError(f"need 0 < s <= t, got s={s}, t={t}")
     ga2 = math.gamma(alpha + 1.0) ** 2
-    f = alpha * t ** (2.0 * alpha) * incomplete_beta(alpha, alpha + 1.0, s / t) - (t * s) ** alpha
+    x = s / t
+    if x <= 0.5:
+        c_xn, series, n = 1.0, 0.0, 0
+        while True:
+            n += 1
+            c_xn *= (n - 1 - alpha) / n * x
+            term = alpha / (alpha + n) * c_xn
+            series += term
+            if abs(term) <= 1e-17 * abs(series):
+                break
+        f = (t * s) ** alpha * series
+    else:
+        f = alpha * t ** (2.0 * alpha) * incomplete_beta(alpha, alpha + 1.0, x) - (t * s) ** alpha
     return (alpha * s ** (2.0 * alpha) * complete_beta(alpha, alpha + 1.0) + f) / ga2
 
 
+@_finite
 def cov_cfpp(model, alpha: float, s: float, t: float) -> float:
     """Cov(N(s), N(t)) for 0 <= s <= t."""
     if not 0.0 <= s <= t:
         raise DomainError(f"need 0 <= s <= t, got s={s}, t={t}")
-    p = DependenceParams.from_model(model, alpha)
+    _, _, var_lin = _second_order(model, alpha)
     if s == 0.0:
         return 0.0
     if alpha == 1.0:
         # Levy case: the subordinator is deterministic and contributes nothing.
-        return p.var_lin * s
-    return p.var_lin * s**alpha + p.sum_lambda**2 * cov_inverse_stable(alpha, s, t)
+        return var_lin * s
+    return var_lin * s**alpha + model.sum_lambda() ** 2 * cov_inverse_stable(alpha, s, t)
 
 
 def corr_cfpp(model, alpha: float, s: float, t: float) -> float:
@@ -87,6 +112,7 @@ def corr_cfpp(model, alpha: float, s: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_finite
 def cov_increment(model, alpha: float, s: float, t: float, delta: float) -> float:
     """Cov(Z(s), Z(t)) for the lag-delta increments, exact four-term expansion.
 
@@ -104,6 +130,7 @@ def cov_increment(model, alpha: float, s: float, t: float, delta: float) -> floa
     return c(s + delta, t + delta) + c(s, t) - c(s + delta, t) - c(s, t + delta)
 
 
+@_finite
 def var_increment(model, alpha: float, t: float, delta: float) -> float:
     """Var(Z(t)), algebraically identical to the four-term expansion at s = t.
 
@@ -119,21 +146,18 @@ def var_increment(model, alpha: float, t: float, delta: float) -> float:
         raise DomainError(f"delta must be positive, got {delta}")
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    p = DependenceParams.from_model(model, alpha)
+    mean_coeff, _, var_lin = _second_order(model, alpha)
     if t == 0.0:
         return var_cfpp(model, alpha, delta)
     tp = t + delta
     d = t**alpha * math.expm1(alpha * math.log1p(delta / t))
     if alpha == 1.0:
-        return p.var_lin * d  # stationary independent increments
+        return var_lin * d  # stationary independent increments
     tail = incomplete_beta(alpha + 1.0, alpha, delta / tp)
-    return (
-        p.var_lin * d
-        - p.mean_coeff**2 * d**2
-        + 2.0 * p.mean_coeff**2 * alpha * tp ** (2.0 * alpha) * tail
-    )
+    return var_lin * d - mean_coeff**2 * d**2 + 2.0 * mean_coeff**2 * alpha * tp ** (2.0 * alpha) * tail
 
 
+@_finite
 def corr_increment(model, alpha: float, s: float, t: float, delta: float) -> float:
     """Corr(Z(s), Z(t)); symmetric in (s, t)."""
     if s == t:
@@ -151,8 +175,8 @@ def corr_increment(model, alpha: float, s: float, t: float, delta: float) -> flo
 
 
 def geometric_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
-    if not 0 < t_min < t_max:
-        raise DomainError(f"need 0 < t_min < t_max, got {t_min}, {t_max}")
+    if not 0 < t_min < t_max < math.inf:
+        raise DomainError(f"need 0 < t_min < t_max < inf, got {t_min}, {t_max}")
     if points < 2:
         raise DomainError(f"need at least 2 points, got {points}")
     return np.geomspace(t_min, t_max, points)
@@ -207,14 +231,15 @@ def increment_corr_decay_exponent(
     return fit_tail_exponent(lambda t: corr_increment(model, alpha, s, t, delta), grid)
 
 
+@_finite
 def lrd_constant(model, alpha: float, s: float) -> float:
     """Level constant c0(s) of the large-t law Corr(N(s), N(t)) ~ c0(s) t^-alpha."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if s <= 0:
         raise DomainError(f"s must be positive, got {s}")
-    p = DependenceParams.from_model(model, alpha)
+    _, var_quad, var_lin = _second_order(model, alpha)
     g2 = math.gamma(2.0 * alpha + 1.0)
-    num = g2 * p.var_lin * s**alpha + p.sum_lambda**2 * s ** (2.0 * alpha)
-    den = g2 * math.sqrt(var_cfpp(model, alpha, s)) * math.sqrt(p.var_quad)
+    num = g2 * var_lin * s**alpha + model.sum_lambda() ** 2 * s ** (2.0 * alpha)
+    den = g2 * math.sqrt(var_cfpp(model, alpha, s)) * math.sqrt(var_quad)
     return num / den

@@ -40,8 +40,7 @@ from .special import N_MAX_CEILING, _check_n_max
 TAIL_TOL = 1e-7  # mass an auto-sized pmf_cfpp may leave out
 FIRST_BLOCK = 16  # rows inverted first; each later block doubles the rows so far
 ORACLE_N_CEILING = 128  # the jump-sum matrix is (n+1)^2, built by n convolutions
-THETA_N_CEILING = 64  # padded-index enumeration cost explodes past this
-COMPOSITION_N_CEILING = 20  # composition enumeration grows like 2^n
+ENUMERATION_N_CEILING = 20  # the theta and composition enumerations grow exponentially in n
 
 FORMULA_LAMBDA = "LambdaSum"
 FORMULA_THETA = "ThetaSum"
@@ -287,10 +286,10 @@ def _composition_jump_sums(model, n_max):
 def pmf_cfpp_theta(model, alpha: float, t: float, n_max: int | None = None) -> StateDistribution:
     """As pmf_cfpp, via literal enumeration of the padded index sets.
 
-    Enumeration cost grows with the partition numbers, so this oracle path
-    is capped at n_max <= 64.
+    Enumeration cost grows faster than the partition numbers (about 3.2x
+    per 5 states), so this oracle path is capped at n_max <= 20.
     """
-    return _compound_pmf(model, alpha, t, n_max, THETA_N_CEILING, FORMULA_THETA, _theta_jump_sums)
+    return _compound_pmf(model, alpha, t, n_max, ENUMERATION_N_CEILING, FORMULA_THETA, _theta_jump_sums)
 
 
 def pmf_cfpp_composition(model, alpha: float, t: float, n_max: int | None = None) -> StateDistribution:
@@ -300,7 +299,7 @@ def pmf_cfpp_composition(model, alpha: float, t: float, n_max: int | None = None
     oracle path is capped at n_max <= 20.
     """
     return _compound_pmf(
-        model, alpha, t, n_max, COMPOSITION_N_CEILING, FORMULA_COMPOSITION, _composition_jump_sums
+        model, alpha, t, n_max, ENUMERATION_N_CEILING, FORMULA_COMPOSITION, _composition_jump_sums
     )
 
 
@@ -329,7 +328,7 @@ def pmf_tfpp(lambda0: float, alpha: float, t: float, n_max: int) -> np.ndarray:
 def pgf(model, alpha: float, t: float, u: float) -> float:
     """Probability generating function E u^N(t) for |u| <= 1."""
     _validate_common(model, alpha, t)
-    if abs(u) > 1.0:
+    if not abs(u) <= 1.0:
         raise DomainError(f"|u| must be <= 1, got u={u}")
     if t == 0:
         return 1.0
@@ -347,7 +346,7 @@ def laplace_pmf(model, alpha: float, n: int, s: float) -> float:
     """Laplace transform (in t) of p(n, t) at s > 0: s^(alpha - 1) / c sum_k J[k, n] r^k,
     with c = s^alpha + lambda_0, r = lambda_0 / c and J the jump-sum matrix."""
     _validate_common(model, alpha, 0.0)
-    if s <= 0:
+    if not s > 0:
         raise DomainError(f"s must be positive, got {s}")
     lam0 = model.lambda_at(0)
     c = s**alpha + lam0
@@ -358,9 +357,9 @@ def laplace_pmf(model, alpha: float, n: int, s: float) -> float:
 def laplace_pgf(model, alpha: float, u: float, s: float) -> float:
     """Laplace transform (in t) of the pgf at u, evaluated at s > 0."""
     _validate_common(model, alpha, 0.0)
-    if abs(u) > 1.0:
+    if not abs(u) <= 1.0:
         raise DomainError(f"|u| must be <= 1, got u={u}")
-    if s <= 0:
+    if not s > 0:
         raise DomainError(f"s must be positive, got {s}")
     denom = s**alpha - intens.delta_series(model, u)
     if denom <= 0:
@@ -386,6 +385,8 @@ def _second_order(model, alpha):
 
     S is exactly 0 at alpha = 1.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     ga = math.gamma(alpha + 1.0)
     sl = model.sum_lambda()
     try:
@@ -399,7 +400,7 @@ def var_cfpp(model, alpha: float, t: float) -> float:
     """Var N(t) = S t^(2 alpha) + T t^alpha, with S and T of ``_second_order``."""
     _validate_common(model, alpha, t)
     _, var_quad, var_lin = _second_order(model, alpha)
-    ta = t**alpha
+    ta = float(t) ** alpha
     try:
         var = var_quad * ta**2 + var_lin * ta
     except OverflowError:

@@ -12,6 +12,9 @@ Two families are first-class:
   (single value) and bounded-jump cases exactly.
 * ``GeometricIntensity`` -- lambda_j = lambda_0 q^j with 0 <= q < 1, whose
   jump law is geometric on {1, 2, ...} and whose series sums close in form.
+
+Each model gives lambda_j as ``model.lambda_at(j)``; ``delta`` and
+``jump_pmf`` are module functions of (model, j).
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ class FiniteIntensity:
             raise DomainError("intensity sequence must be non-increasing")
         object.__setattr__(self, "values", values)
 
-    def delta(self, j: int) -> float:
-        return delta(self, j)
-
     def lambda_at(self, j: int) -> float:
         if j < 0 or j >= len(self.values):
             return 0.0
@@ -65,7 +65,7 @@ class FiniteIntensity:
     def falling_factorial_delta_sum(self, m: int) -> float:
         if m < 0:
             raise DomainError(f"order must be >= 0, got {m}")
-        return sum(math.perm(j, m) * self.delta(j) for j in range(1, len(self.values) + 1))
+        return sum(math.perm(j, m) * delta(self, j) for j in range(1, len(self.values) + 1))
 
     def to_config(self) -> dict:
         return {"type": "finite", "values": list(self.values)}
@@ -88,9 +88,6 @@ class GeometricIntensity:
         if j < 0:
             return 0.0
         return self.lambda0 * self.q**j
-
-    def delta(self, j: int) -> float:
-        return delta(self, j)
 
     def sum_lambda(self) -> float:
         return self.lambda0 / (1.0 - self.q)
@@ -116,11 +113,6 @@ class GeometricIntensity:
 
 
 IntensityModel = Union[FiniteIntensity, GeometricIntensity]
-
-
-def lambda_at(model: IntensityModel, j: int) -> float:
-    """lambda_j, with lambda_j = 0 for j < 0 and beyond any finite support."""
-    return model.lambda_at(j)
 
 
 def delta(model: IntensityModel, j: int) -> float:

@@ -9,6 +9,8 @@ Two exact samplers are provided for the count at a fixed time t:
   gives each path's counts at several sorted times, a draw of the joint law.
 
 Finite jump laws are drawn by inverse CDF, geometric ones by ``rng.geometric``.
+Every sampler takes a size and returns an array of that many draws; one
+count at time t is ``sample_cfpp_batch(model, alpha, t, rng, 1)[0]``.
 
 A batch is drawn as consecutive blocks of BLOCK samples from one generator,
 each block a complete draw, so a worker's per-sample arrays hold at most
@@ -100,32 +102,30 @@ def _log_stable(alpha, rng, n):
     return _log_sin(alpha * phi) - _log_sin(phi) / alpha + (1.0 - alpha) / alpha * log_ratio
 
 
-def sample_stable(alpha: float, rng, size=None):
-    """Standard one-sided alpha-stable variate(s) with E e^(-s S) = e^(-s^alpha).
+def sample_stable(alpha: float, rng, size):
+    """`size` standard one-sided alpha-stable variates with E e^(-s S) = e^(-s^alpha).
 
     The alpha = 1 limit is the point mass at 1 and is not covered here;
     callers branch on it.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"stable sampling needs 0 < alpha < 1, got {alpha}")
-    s = np.exp(_log_stable(alpha, rng, 1 if size is None else size))
-    return float(s[0]) if size is None else s
+    return np.exp(_log_stable(alpha, rng, size))
 
 
-def sample_inverse_stable(alpha: float, t: float, rng, size=None):
-    """Inverse alpha-stable subordinator marginal H(t) = (t / S)^alpha."""
+def sample_inverse_stable(alpha: float, t: float, rng, size):
+    """`size` draws of the inverse alpha-stable subordinator marginal H(t) = (t / S)^alpha."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 1.0:
-        return float(t) if size is None else np.full(size, float(t))
-    h = np.exp(alpha * (math.log(t) - _log_stable(alpha, rng, 1 if size is None else size)))
-    return float(h[0]) if size is None else h
+        return np.full(size, float(t))
+    return np.exp(alpha * (math.log(t) - _log_stable(alpha, rng, size)))
 
 
-def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
-    """Mittag-Leffler waiting time(s) with survival E_alpha(-lambda_0 t^alpha).
+def ml_waiting_time(alpha: float, lambda0: float, rng, size):
+    """`size` Mittag-Leffler waiting times with survival E_alpha(-lambda_0 t^alpha).
 
     Exponential-mixture form W = -ln(U) (Z / lambda_0)^(1/alpha)
     with Z = sin(alpha pi) / tan(alpha pi V) - cos(alpha pi); reduces to an
@@ -135,13 +135,10 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0 < lambda0 < math.inf:
         raise DomainError(f"lambda_0 must be positive and finite, got {lambda0}")
-    scalar = size is None
-    n = 1 if scalar else size
     if alpha == 1.0:
-        w = rng.exponential(1.0 / lambda0, n)
-        return float(w[0]) if scalar else w
-    u = rng.random(n)
-    v = rng.random(n)
+        return rng.exponential(1.0 / lambda0, size)
+    u = rng.random(size)
+    v = rng.random(size)
     # V = 0 divides by zero, and at small alpha (Z / lambda_0)^(1/alpha)
     # overflows: W = inf is a path that renews at no finite t, which the
     # renewal loop retires.  It stays inf, not NaN, when U = 0 makes the
@@ -149,8 +146,7 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size=None):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
         scale = (z / lambda0) ** (1.0 / alpha)
-        w = np.where(scale == np.inf, np.inf, -np.log1p(-u) * scale)
-    return float(w[0]) if scalar else w
+        return np.where(scale == np.inf, np.inf, -np.log1p(-u) * scale)
 
 
 class JumpSampler:
@@ -172,19 +168,12 @@ class JumpSampler:
             cdf = np.cumsum([intens.jump_pmf(model, j) for j in range(1, support + 1)])
             self._cdf = cdf / cdf[-1]
 
-    def sample(self, rng, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
+    def sample(self, rng, size):
         if self._cdf is None:
-            out = rng.geometric(self._p_success, n)
+            out = rng.geometric(self._p_success, size)
         else:
-            out = np.searchsorted(self._cdf, rng.random(n), side="right") + 1
-        return int(out[0]) if scalar else out.astype(np.int64, copy=False)
-
-
-def sample_jump(model, rng, size=None):
-    """One jump (or `size` jumps) from the law delta_j / lambda_0."""
-    return JumpSampler(model).sample(rng, size)
+            out = np.searchsorted(self._cdf, rng.random(size), side="right") + 1
+        return out.astype(np.int64, copy=False)
 
 
 def _jump_totals(jump_sampler, counts, rng):
@@ -266,11 +255,6 @@ def _renewal_counts(model, alpha, times, rng, size):
     return counts
 
 
-def sample_cfpp(model, alpha, t, rng, method=METHOD_TIME_CHANGE):
-    """One count at time t."""
-    return int(sample_cfpp_batch(model, alpha, t, rng, 1, method)[0])
-
-
 def _all_counts(model, alpha, t, cfg):
     base, extra = divmod(cfg.n_samples, cfg.workers)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
@@ -292,23 +276,25 @@ def _report_from_counts(counts, cfg):
     freq = np.bincount(counts)
     pmf = freq / n
     pmf_se = np.sqrt(pmf * (1.0 - pmf) / n)
-    mean = float(counts.mean())
-    sd = float(counts.std(ddof=1)) if n > 1 else 0.0
-    var = sd**2
-    var_se = 0.0
+    # Every moment is read off the count histogram; the integer sum is exact.
+    levels = np.arange(freq.size)
+    mean = float(freq @ levels) / n
+    var = var_se = 0.0
     if n > 1:
-        # The unbiased Var(s^2) = (m4 - (n - 3)/(n - 1) s^4) / n, from the count
-        # histogram, as two terms that stay >= 0 in floating point: m4 - m2^2,
-        # the mean square of (squared deviation - m2), and (3n - 1)/(n - 1)^3
-        # m2^2.  It is 0 only when all counts are equal.
-        sq = (np.arange(freq.size) - mean) ** 2
-        m2 = float(freq @ sq) / n
+        # The unbiased Var(s^2) = (m4 - (n - 3)/(n - 1) s^4) / n, as two terms
+        # that stay >= 0 in floating point: m4 - m2^2, the mean square of
+        # (squared deviation - m2), and (3n - 1)/(n - 1)^3 m2^2.  It is 0 only
+        # when all counts are equal.
+        sq = (levels - mean) ** 2
+        sum_sq = float(freq @ sq)
+        m2 = sum_sq / n
+        var = sum_sq / (n - 1)
         var_se = math.sqrt((float(freq @ (sq - m2) ** 2) / n + (3 * n - 1) / (n - 1) ** 3 * m2**2) / n)
     return MCReport(
         empirical_pmf=pmf,
         pmf_se=pmf_se,
         sample_mean=mean,
-        mean_se=sd / math.sqrt(n),
+        mean_se=math.sqrt(var / n),
         sample_var=var,
         var_se=var_se,
         n_samples=n,

@@ -42,6 +42,13 @@ def tfpp_config(tmp_path):
 
 
 class TestPmfCommand:
+    def test_theta_oracle_finishes_on_the_readme_config(self, geo_config, capsys):
+        # the auto-sized theta pmf stops at the enumeration ceiling of 20
+        assert main(["pmf", "--config", geo_config, "--formula", "theta"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 1 + 21
+        assert lines[-1].startswith("20,")
+
     def test_csv_schema_and_values(self, geo_config, tmp_path, capsys):
         out = tmp_path / "pmf.csv"
         assert main(["pmf", "--config", geo_config, "--output", str(out)]) == EXIT_OK
@@ -137,6 +144,10 @@ class TestBadConfigFields:
 
 
 _BAD = st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e300, "x", None, [1.0]])
+# times, lags and levels for `dependence`, from ordinary to overflowing
+_DEPENDENCE_TIME = st.one_of(
+    st.floats(0.01, 1e6), st.floats(1e250, 1e308), st.sampled_from([0.0, -1.0, math.nan, math.inf])
+)
 
 
 @st.composite
@@ -183,6 +194,9 @@ def _invocations(draw):
         ]
     elif command == "dependence":
         extra += ["--mode", draw(st.sampled_from(["process", "increment", "slope"]))]
+        for flag in ("--s", "--t-min", "--t-max", "--delta"):
+            if draw(st.booleans()):
+                extra += [flag, repr(draw(_DEPENDENCE_TIME))]
     return command, config, extra
 
 
@@ -198,6 +212,9 @@ def _invocations(draw):
 @example(("pmf", {"intensity": dict(_GEO, lambda0=2.0, q=0.0), "alpha": 2.0**-8}, []))
 @example(("pmf", {"intensity": _GEO, "n_max": math.inf}, []))
 @example(("simulate", {"intensity": dict(_GEO, q=1.0 - 1e-9), "alpha": 0.7}, ["--samples", "10"]))
+@example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "process", "--t-max", "1e308"]))
+@example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "increment", "--s", "1e250"]))
+@example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "slope", "--t-max", "1e308"]))
 def test_fuzzed_invocations_exit_with_a_documented_code(tmp_path_factory, invocation):
     # 0 ok, 2 bad config, 3 numeric error; 1 only for a failed validation
     # suite.  Anything else, or an exception escaping main, is a defect.
@@ -295,6 +312,17 @@ class TestDependenceCommand:
         slopes = {row.split(",")[0]: float(row.split(",")[3]) for row in lines[1:]}
         assert abs(slopes["process"] + 0.5) <= 0.05
         assert abs(slopes["increment"] + 1.25) <= 0.05
+
+    def test_far_apart_covariance_keeps_its_sign(self, tmp_path, capsys):
+        # Cov(N(1), N(t)) tends to a positive constant; the cancelling form
+        # of the inverse-stable covariance turned it negative by t = 1e18
+        cfg = tmp_path / "heavy.json"
+        cfg.write_text(json.dumps({"intensity": dict(_GEO, lambda0=0.5, q=0.9), "alpha": 0.9}))
+        argv = ["dependence", "--config", str(cfg), "--mode", "process",
+                "--t-min", "1e12", "--t-max", "1e18", "--points", "4"]
+        assert main(argv) == EXIT_OK
+        covs = [float(row.split(",")[2]) for row in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(covs) == 4 and min(covs) > 0 and covs == sorted(covs)
 
     def test_process_table(self, geo_config, capsys):
         assert main(

@@ -2,13 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfpp.dependence import (
-    DependenceParams,
     corr_cfpp,
     corr_decay_exponent,
     corr_increment,
@@ -21,7 +21,7 @@ from cfpp.dependence import (
     lrd_constant,
     var_increment,
 )
-from cfpp.distribution import var_cfpp
+from cfpp.distribution import _second_order, var_cfpp
 from cfpp.errors import DegenerateFitError, DomainError
 from cfpp.intensity import FiniteIntensity, GeometricIntensity
 from cfpp.simulate import _renewal_counts, sample_stable
@@ -79,6 +79,20 @@ class TestInverseStableCovariance:
                 for t in (1.0, 4.0, 50.0):
                     if s <= t:
                         assert cov_inverse_stable(alpha, s, t) >= 0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_against_mpmath_far_apart(self, alpha):
+        # alpha t^(2 alpha) B(alpha, alpha + 1; s/t) - (ts)^alpha cancels as
+        # t / s grows; in 80 digits the difference keeps 50 or more of them
+        with mp.workdps(80):
+            a = mp.mpf(alpha)
+            for s in (0.01, 1.0, 37.0):
+                for ratio in (1.0, 1.5, 2.0, 10.0, 1e4, 1e8, 1e16, 1e25):
+                    t = s * ratio
+                    ms, mt = mp.mpf(s), mp.mpf(t)
+                    f = a * mt ** (2 * a) * mp.betainc(a, a + 1, 0, ms / mt) - (mt * ms) ** a
+                    want = (a * ms ** (2 * a) * mp.beta(a, a + 1) + f) / mp.gamma(a + 1) ** 2
+                    np.testing.assert_allclose(cov_inverse_stable(alpha, s, t), float(want), rtol=1e-11)
 
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -170,17 +184,17 @@ class TestProcessCovariance:
 
     def test_params_signs(self):
         for alpha in (0.3, 0.6, 0.99):
-            p = DependenceParams.from_model(GEO, alpha)
-            assert p.mean_coeff > 0 and p.var_lin > 0 and p.var_quad > 0
-        assert DependenceParams.from_model(GEO, 1.0).var_quad == 0.0
+            mean_coeff, var_quad, var_lin = _second_order(GEO, alpha)
+            assert mean_coeff > 0 and var_lin > 0 and var_quad > 0
+        assert _second_order(GEO, 1.0)[1] == 0.0
 
 
 class TestIncrements:
     def test_levy_increment_variance(self):
-        p = DependenceParams.from_model(GEO, 1.0)
+        var_lin = _second_order(GEO, 1.0)[2]
         for t, d in ((0.0, 0.5), (1.0, 0.5), (100.0, 2.0)):
             np.testing.assert_allclose(
-                var_increment(GEO, 1.0, t, d), p.var_lin * d, rtol=1e-12
+                var_increment(GEO, 1.0, t, d), var_lin * d, rtol=1e-12
             )
 
     def test_stable_form_matches_four_term_expansion(self):
@@ -220,11 +234,48 @@ class TestIncrements:
     def test_increment_covariance_mc(self):
         # alpha = 1: increments are independent, so the covariance is 0 for
         # non-overlapping windows and T*overlap otherwise
-        p = DependenceParams.from_model(GEO, 1.0)
+        var_lin = _second_order(GEO, 1.0)[2]
         np.testing.assert_allclose(cov_increment(GEO, 1.0, 1.0, 5.0, 1.0), 0.0, atol=1e-10)
         np.testing.assert_allclose(
-            cov_increment(GEO, 1.0, 1.0, 1.5, 1.0), p.var_lin * 0.5, rtol=1e-10
+            cov_increment(GEO, 1.0, 1.0, 1.5, 1.0), var_lin * 0.5, rtol=1e-10
         )
+
+
+# Each call puts the value v where a power of it overflows at 1e250 or
+# 1e300: at the earlier time, at both times, in the lag, or in a variance.
+AT_TIME = {
+    "cov_inverse_stable": lambda v: cov_inverse_stable(0.7, v, v),
+    "cov_cfpp": lambda v: cov_cfpp(GEO, 0.7, v, v),
+    "cov_increment": lambda v: cov_increment(GEO, 0.7, v, v, 1.0),
+    "cov_increment_lag": lambda v: cov_increment(GEO, 0.7, 1.0, 2.0, v),
+    "var_increment": lambda v: var_increment(GEO, 0.7, v, 1.0),
+    "var_increment_lag": lambda v: var_increment(GEO, 0.7, 1.0, v),
+    "corr_increment": lambda v: corr_increment(GEO, 0.7, 1.0, v, 1.0),
+    "lrd_constant": lambda v: lrd_constant(GEO, 0.7, v),
+}
+# ... and the later time alone, where a huge finite value is a finite answer
+AT_LATER_TIME = {
+    "cov_inverse_stable_t": lambda v: cov_inverse_stable(0.7, 1.0, v),
+    "cov_cfpp_t": lambda v: cov_cfpp(GEO, 0.7, 1.0, v),
+    "cov_increment_t": lambda v: cov_increment(GEO, 0.7, 1.0, v, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e250, 1e300])
+@pytest.mark.parametrize("name", list(AT_TIME))
+def test_non_finite_or_overflowing_times_are_refused(name, bad):
+    # inf and NaN are refused on entry; 1e250 and 1e300 overflow a power
+    # or give a non-finite value, and either is a DomainError
+    with pytest.raises(DomainError):
+        AT_TIME[name](bad)
+
+
+@pytest.mark.parametrize("name", list(AT_LATER_TIME))
+def test_non_finite_later_time_is_refused(name):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            AT_LATER_TIME[name](bad)
+    assert math.isfinite(AT_LATER_TIME[name](1e300))
 
 
 class TestTailExponentFitting:

@@ -11,22 +11,21 @@ from cfpp.intensity import (
     delta_series,
     from_config,
     jump_pmf,
-    lambda_at,
 )
 
 
 class TestLambdaAt:
     def test_geometric_values(self):
         m = GeometricIntensity(1.0, 0.5)
-        assert lambda_at(m, 2) == 0.25
-        assert lambda_at(m, 0) == 1.0
+        assert m.lambda_at(2) == 0.25
+        assert m.lambda_at(0) == 1.0
 
     def test_negative_index_convention(self):
-        assert lambda_at(GeometricIntensity(1.0, 0.5), -3) == 0.0
-        assert lambda_at(FiniteIntensity([2, 1]), -1) == 0.0
+        assert GeometricIntensity(1.0, 0.5).lambda_at(-3) == 0.0
+        assert FiniteIntensity([2, 1]).lambda_at(-1) == 0.0
 
     def test_finite_tail(self):
-        assert lambda_at(FiniteIntensity([2, 1, 0.5]), 5) == 0.0
+        assert FiniteIntensity([2, 1, 0.5]).lambda_at(5) == 0.0
 
 
 class TestDelta:
@@ -42,7 +41,7 @@ class TestDelta:
         with pytest.raises(DomainError):
             delta(GeometricIntensity(1, 0.5), 0)
         with pytest.raises(DomainError):
-            GeometricIntensity(1, 0.5).delta(-1)
+            delta(GeometricIntensity(1, 0.5), -1)
 
     def test_always_nonnegative(self):
         rng = np.random.default_rng(5)

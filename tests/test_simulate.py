@@ -20,10 +20,8 @@ from cfpp.simulate import (
     _report_from_counts,
     mc_pmf,
     ml_waiting_time,
-    sample_cfpp,
     sample_cfpp_batch,
     sample_inverse_stable,
-    sample_jump,
     sample_stable,
 )
 from cfpp.special import ml_one
@@ -71,12 +69,7 @@ class TestStableSampler:
     def test_alpha_one_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
-            sample_stable(1.0, rng)
-
-    def test_scalar_draw(self):
-        rng = np.random.default_rng(0)
-        s = sample_stable(0.6, rng)
-        assert isinstance(s, float) and s > 0
+            sample_stable(1.0, rng, 1)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.7, 0.99])
     def test_kanter_form_matches_chambers_mallows_stuck(self, alpha):
@@ -111,7 +104,6 @@ class TestInverseStable:
 
     def test_degenerate_at_alpha_one(self):
         rng = np.random.default_rng(0)
-        assert sample_inverse_stable(1.0, 2.5, rng) == 2.5
         np.testing.assert_array_equal(sample_inverse_stable(1.0, 2.5, rng, 3), [2.5] * 3)
 
     def test_subordination_identity(self):
@@ -173,12 +165,12 @@ class TestWaitingTimes:
 class TestJumpSampler:
     def test_unit_jump_point_mass(self):
         rng = np.random.default_rng(4)
-        draws = sample_jump(FiniteIntensity([2.0]), rng, 1000)
+        draws = JumpSampler(FiniteIntensity([2.0])).sample(rng, 1000)
         assert np.all(draws == 1)
 
     def test_geometric_law(self):
         rng = np.random.default_rng(5)
-        draws = sample_jump(GEO, rng, N)
+        draws = JumpSampler(GEO).sample(rng, N)
         freq = np.bincount(draws) / N
         for j in range(1, 6):
             p = 0.5 * 0.5 ** (j - 1)
@@ -187,7 +179,7 @@ class TestJumpSampler:
     def test_finite_law(self):
         model = FiniteIntensity([2.0, 1.0, 0.5])
         rng = np.random.default_rng(6)
-        draws = sample_jump(model, rng, N)
+        draws = JumpSampler(model).sample(rng, N)
         freq = np.bincount(draws, minlength=4) / N
         for j in (1, 2, 3):
             p = jump_pmf(model, j)
@@ -201,12 +193,11 @@ class TestJumpSampler:
         sampler = JumpSampler(FiniteIntensity([1.0, 1.0, 0.5]))
         u = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)]
         np.testing.assert_array_equal(sampler.sample(Draws(u), 4), [2, 2, 3, 3])
-        assert sampler.sample(Draws([0.0]), None) == 2
 
     def test_empirical_mean(self):
         model = FiniteIntensity([2.0, 1.0, 0.5])
         rng = np.random.default_rng(7)
-        draws = sample_jump(model, rng, N)
+        draws = JumpSampler(model).sample(rng, N)
         want = sum(j * delta(model, j) for j in range(1, 5)) / model.lambda_at(0)
         se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - want) < 3 * se
@@ -215,7 +206,6 @@ class TestJumpSampler:
 class TestCountSampler:
     def test_zero_time(self):
         rng = np.random.default_rng(0)
-        assert sample_cfpp(GEO, 0.7, 0.0, rng) == 0
         assert np.all(sample_cfpp_batch(GEO, 0.7, 0.0, rng, 100) == 0)
 
     def test_classical_poisson_case(self):
@@ -250,8 +240,8 @@ class TestCountSampler:
     def test_renewal_counts_are_monotone_in_t(self):
         # identical seed -> identical waiting-time sequence -> coupled paths
         for seed in range(40):
-            c1 = sample_cfpp(GEO, 0.7, 0.8, np.random.default_rng(seed), METHOD_RENEWAL)
-            c2 = sample_cfpp(GEO, 0.7, 2.0, np.random.default_rng(seed), METHOD_RENEWAL)
+            c1 = sample_cfpp_batch(GEO, 0.7, 0.8, np.random.default_rng(seed), 1, METHOD_RENEWAL)[0]
+            c2 = sample_cfpp_batch(GEO, 0.7, 2.0, np.random.default_rng(seed), 1, METHOD_RENEWAL)[0]
             assert c1 <= c2
 
     def test_levy_characteristic_function_at_alpha_one(self):
@@ -320,8 +310,8 @@ class TestMonteCarloReports:
 
     @pytest.mark.parametrize("counts", [[0, 2], [1, 3, 7], [4, 0, 0, 9, 1]])
     def test_variance_se_is_the_unbiased_estimate(self, counts):
-        # (m4 - (n-3)/(n-1) s^4) / n in exact rationals; 2-3 distinct counts
-        # give a positive SE, which m4 - s^4 (negative there) would not
+        # (m4 - (n-3)/(n-1) s^4) / n and s^2 in exact rationals; 2-3 distinct
+        # counts give a positive SE, which m4 - s^4 (negative there) would not
         n = len(counts)
         mean = Fraction(sum(counts), n)
         m4 = sum((c - mean) ** 4 for c in counts) / n
@@ -330,6 +320,7 @@ class TestMonteCarloReports:
         rep = _report_from_counts(np.array(counts), SamplerConfig(seed=0))
         assert rep.var_se > 0
         np.testing.assert_allclose(rep.var_se, want, rtol=1e-14)
+        np.testing.assert_allclose(rep.sample_var, float(s2), rtol=1e-14)
 
     def test_variance_se_is_zero_only_for_equal_counts(self):
         assert _report_from_counts(np.array([3, 3, 3]), SamplerConfig(seed=0)).var_se == 0.0
