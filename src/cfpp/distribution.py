@@ -4,11 +4,14 @@ The count distribution at time t depends on t only through x = lambda_0
 t^alpha.  On each node s of the Bromwich contour in ``special``, its state
 transforms obey
 
-    P_0 = s^(alpha - 1) / (s^alpha + x),   P_n = r sum_{j>=1} g_j P_(n-j),
+    P_0 = s^(alpha - 1) b,   P_n = r sum_{j>=1} g_j P_(n-j),
 
-with r = x / (s^alpha + x) and g_j = delta_j / lambda_0 the jump law: the
-Laplace-domain form of Panjer's recursion (ASTIN Bulletin 12 (1981) 22-26).
-``pmf_cfpp`` builds the rows n = 0, 1, ... in blocks and inverts each block;
+with b = 1 / (s^alpha + x), r = x b and g_j = delta_j / lambda_0 the jump
+law: the Laplace-domain form of Panjer's recursion (ASTIN Bulletin 12
+(1981) 22-26).  Every P_n carries the factor s^(alpha - 1), so the rows
+are built without it and ``special.invert_rows`` holds it in its weights.
+``pmf_cfpp`` builds the rows n = 0, 1, ... in blocks and inverts each block
+with one real matrix product, which also gives the contour's error estimate;
 left to size itself, it stops after the first block at which the mass it
 has computed is within TAIL_TOL of 1, or at N_MAX_CEILING.  At alpha = 1 the
 law is compound Poisson and Panjer's recursion in t gives it directly.
@@ -133,23 +136,24 @@ def _block_sizes(n_max):
 def _node_blocks(model, alpha, x, sizes):
     """Blocks of the state transforms P_0, P_1, ... on the contour nodes, one per size.
 
+    Each row is P_n / s^(alpha - 1), starting from b; see ``invert_rows``.
     P_n = r sum_j g_j P_(n-j) is one (J x nodes) product per row for jumps
     up to J.  Geometric jumps, g_j = (1 - q) q^(j-1), collapse it to
     P_1 = r (1 - q) P_0 and P_(n+1) = zeta P_n with zeta = q + (1 - q) r;
     unit jumps are the case q = 0.
     """
-    p0, r = special.node_transforms(alpha, x)
+    b, r = special.node_transforms(alpha, x)
     support = _jump_support(model)
     if support is None or support == 1:
         q = model.q if support is None else 0.0
         zeta = q + (1.0 - q) * r
-        lag, first = 1, np.array([p0, r * (1.0 - q) * p0])
+        lag, first = 1, np.array([b, r * (1.0 - q) * b])
     else:
         g = np.array([intens.jump_pmf(model, j) for j in range(support, 0, -1)], dtype=complex)
-        lag, first = support, p0[None, :]
-    recent = np.zeros((lag, p0.size), dtype=complex)  # the last lag rows made
+        lag, first = support, b[None, :]
+    recent = np.zeros((lag, b.size), dtype=complex)  # the last lag rows made
     for m in sizes:
-        rows = np.empty((lag + m, p0.size), dtype=complex)
+        rows = np.empty((lag + m, b.size), dtype=complex)
         rows[:lag] = recent
         head, first = first[:m], first[m:]  # rows given rather than made
         rows[lag : lag + len(head)] = head
@@ -195,7 +199,7 @@ def _state_probs(model, alpha, x, n_max):
         stream = _panjer_probs(model, x)
         blocks = (np.fromiter(itertools.islice(stream, m), dtype=float, count=m) for m in sizes)
     else:
-        blocks = map(special.invert_rows, _node_blocks(model, alpha, x, sizes))
+        blocks = (special.invert_rows(rows, alpha) for rows in _node_blocks(model, alpha, x, sizes))
     probs = np.empty(0)
     for block in blocks:
         probs = np.concatenate([probs, block])

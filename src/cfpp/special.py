@@ -14,15 +14,19 @@ parabolic Bromwich contour (Weideman and Trefethen, Math. Comp. 76 (2007)
 contour is symmetric about the real axis and every transform here is real
 on it, so the sum runs over the 256 nodes in the upper half plane and
 doubles the real part of each node off the axis.  The even-indexed nodes
-give the same rule at twice the step; both sums come from one matrix
-product, and a gap above 1e-12 between them raises NonConvergenceError.
-That happens near alpha = 1 at the top of the domain, where the transform
-has a near-singularity just across the branch cut.  The node powers
-s^alpha and s^(alpha - 1) are cached per alpha.  Elsewhere: 1/Gamma(beta)
-at x = 0, the positive-term series for x > 0, and at alpha = 1
-e^x / Gamma(beta) when gamma = beta, Kummer's function
-1F1(gamma; beta; x) / Gamma(beta) otherwise, or for the weight vector the
-Poisson pmf.
+give the same rule at twice the step.  The sum is taken in real arithmetic:
+Re(T w) = Re T Re w - Im T Im w, so the interleaved (re, im) pairs of the
+transform meet one real (512, 2) weight matrix whose second column is the
+difference between the rules at steps h and 2h.  One matrix product gives
+the value and that gap, and a gap above 1e-12 relative to max(1, |value|)
+raises NonConvergenceError.  That happens near alpha = 1 at the top of the
+domain, where the transform has a near-singularity just across the branch
+cut.  The node powers s^alpha and s^(alpha - 1) are cached per alpha, and
+so are the weights multiplied by s^(alpha - 1), which the fractional
+Poisson transforms share.  Elsewhere: 1/Gamma(beta) at x = 0, the
+positive-term series for x > 0, and at alpha = 1 e^x / Gamma(beta) when
+gamma = beta, Kummer's function 1F1(gamma; beta; x) / Gamma(beta)
+otherwise, or for the weight vector the Poisson pmf.
 """
 
 from __future__ import annotations
@@ -48,29 +52,37 @@ N_MAX_CEILING = 4096  # rows of ml_weights and of distribution.pmf_cfpp
 # k = 0..255, are kept and the nodes with k >= 1 count twice.
 _THETA = np.arange(256) / 64.0
 _S = 48.0 * (0.1309 - 0.1194 * _THETA**2 + 0.25j * _THETA)
+_LOG_S = np.log(_S)  # s^p = e^(p log s), which costs a third of _S**p
 # e^s s'(theta) h / (2 pi i), doubled for k >= 1: the trapezoid weights of
-# the inversion at t = 1.  Column 0 is the rule at step h, column 1 the rule
-# at step 2h, which takes the nodes with k even.
+# the inversion at t = 1 at step h.  The rule at step 2h takes the nodes
+# with k even at twice the weight, so column 1, rule h minus rule 2h, is -w
+# on even k and w on odd k.
 _WEIGHTS = (np.exp(_S) * 48.0 * (0.25j - 0.2388 * _THETA) / (64.0 * 2j * math.pi)
             * np.where(_THETA > 0.0, 2.0, 1.0))
-_W = np.stack([_WEIGHTS, np.where(np.arange(256) % 2 == 0, 2.0 * _WEIGHTS, 0.0)], axis=1)
+_W = np.stack([_WEIGHTS, np.where(np.arange(256) % 2 == 0, -_WEIGHTS, _WEIGHTS)], axis=1)
 _CONTOUR_TOL = 1e-12
 
 
-def _invert(transform):
-    """Inverse Laplace transform at t = 1 of transform values on the nodes (last axis).
+def _real_weights(w):
+    """Read-only real (512, 2) form of complex (256, 2) weights w.
 
-    Raises NonConvergenceError where the sums at steps h and 2h differ by
-    more than _CONTOUR_TOL relative to max(1, |value|).
+    Rows 2k and 2k + 1 hold Re w_k and -Im w_k, so a transform's
+    ``.view(float)`` times it is Re(transform @ w).
     """
-    both = (transform @ _W).real
-    full = both[..., 0]
-    err = (abs(full - both[..., 1]) / np.maximum(1.0, abs(full))).max()
-    if not err <= _CONTOUR_TOL:
-        raise NonConvergenceError(
-            f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
-        )
-    return full
+    out = np.empty((2 * w.shape[0], 2))
+    out[0::2], out[1::2] = w.real, -w.imag
+    out.flags.writeable = False
+    return out
+
+
+_WR = _real_weights(_W)
+
+
+def _unresolved(err):
+    """The error for a contour error estimate err above _CONTOUR_TOL."""
+    return NonConvergenceError(
+        f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
+    )
 
 
 def _check_n_max(n_max, ceiling=N_MAX_CEILING):
@@ -90,11 +102,11 @@ def _check_n_max(n_max, ceiling=N_MAX_CEILING):
 
 @functools.lru_cache(maxsize=8)
 def _node_powers(alpha):
-    """Read-only s^alpha and s^(alpha - 1) on the nodes."""
+    """Read-only s^alpha and s^(alpha - 1) on the nodes, and _WR with s^(alpha - 1) folded in."""
     sa = _S**alpha
     sa1 = sa / _S
     sa.flags.writeable = sa1.flags.writeable = False
-    return sa, sa1
+    return sa, sa1, _real_weights(sa1[:, None] * _W)
 
 
 @dataclass(frozen=True)
@@ -160,11 +172,16 @@ def ml_three(params: MLParams, x: float) -> float:
         return float(sc.hyp1f1(gamma, beta, x) * inv_gamma_beta)
     if alpha > 1.0:
         raise DomainError(f"negative arguments need alpha <= 1, got alpha={alpha}")
-    sa, sa1 = _node_powers(alpha)
+    sa, sa1, _ = _node_powers(alpha)
     power = alpha * gamma - beta
-    top = sa1 if power == alpha - 1.0 else _S**power
+    top = sa1 if power == alpha - 1.0 else np.exp(power * _LOG_S)
     bottom = sa - x if gamma == 1.0 else (sa - x) ** gamma
-    return float(_invert(top / bottom))
+    # the rule of invert_rows on one value, in Python floats
+    value, gap = ((top / bottom).view(float) @ _WR).tolist()
+    err = abs(gap) / max(1.0, abs(value))
+    if not err <= _CONTOUR_TOL:
+        raise _unresolved(err)
+    return value
 
 
 def ml_two(alpha: float, beta: float, x: float) -> float:
@@ -205,32 +222,41 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
         return np.eye(1, n_max + 1)[0]
     if alpha == 1.0:  # the Poisson pmf
         return np.exp([k * math.log(x) - x - math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    p0, r = node_transforms(alpha, x)
+    b, r = node_transforms(alpha, x)
     rows = np.empty((n_max + 1, _S.size), dtype=complex)
-    rows[0] = p0
+    rows[0] = b
     for k in range(1, n_max + 1):
         np.multiply(rows[k - 1], r, out=rows[k])
-    return invert_rows(rows)
+    return invert_rows(rows, alpha)
 
 
 def node_transforms(alpha: float, x: float):
-    """P_0 = s^(alpha-1) / (s^alpha + x) and r = x / (s^alpha + x) on the contour nodes.
+    """b = 1 / (s^alpha + x) and r = x b on the contour nodes, for 0 < alpha < 1.
 
-    For 0 < alpha < 1.  P_0 is the transform of E_alpha(-x t^alpha), and
-    multiplying by r takes a fractional Poisson transform up one event.
+    s^(alpha-1) b is the transform of E_alpha(-x t^alpha), and multiplying
+    by r takes a fractional Poisson transform up one event.  The factor
+    s^(alpha-1) is left out: ``invert_rows`` holds it in its weights.
     """
-    sa, sa1 = _node_powers(alpha)
-    bottom = sa + x
-    return sa1 / bottom, x / bottom
+    b = np.reciprocal(_node_powers(alpha)[0] + x)
+    return b, x * b
 
 
-def invert_rows(rows) -> np.ndarray:
-    """Inverse transforms at t = 1 of rows of probability transforms on the nodes.
+def invert_rows(rows, alpha: float) -> np.ndarray:
+    """Inverse transforms at t = 1 of s^(alpha-1) times each row of transforms on the nodes.
 
-    Raises NonConvergenceError as ``_invert`` does; values are clipped at 0,
-    since rounding can leave a far-tail probability a few ulps below it.
+    The rows are probability transforms with their common factor
+    s^(alpha-1) left out (see ``node_transforms``); one real product with
+    the weights that hold it gives every value and its h/2h gap.  Raises
+    NonConvergenceError where a gap exceeds _CONTOUR_TOL relative to
+    max(1, |value|).  Values are clipped at 0, since rounding can leave a
+    far-tail probability a few ulps below it.
     """
-    return np.maximum(_invert(rows), 0.0)
+    both = rows.view(float) @ _node_powers(alpha)[2]
+    size = abs(both)
+    err = (size[..., 1] / np.maximum(size[..., 0], 1.0)).max()
+    if not err <= _CONTOUR_TOL:
+        raise _unresolved(err)
+    return np.maximum(both[..., 0], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,18 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import cfpp
 from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.special import (
+    _LOG_S,
+    _S,
+    _WR,
     N_MAX_CEILING,
+    _node_powers,
     MLParams,
     complete_beta,
     incomplete_beta,
@@ -158,6 +164,19 @@ class TestContourCache:
             ml_one(float(a), -1.0)
         self._assert_identical(first, self._values(self.ALPHAS))
 
+    def test_cached_weights_are_read_only_and_stable(self):
+        # s^alpha, s^(alpha - 1) and the weights with s^(alpha - 1) folded in
+        first = {a: [arr.copy() for arr in _node_powers(a)] for a in self.ALPHAS}
+        for arr in (_WR, *_node_powers(0.55)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for a in self.ALPHAS[::-1] + tuple(np.linspace(0.2, 0.9, 80)) + self.ALPHAS:
+            _node_powers(float(a))
+            if a in first:
+                for want, got in zip(first[a], _node_powers(a)):
+                    np.testing.assert_array_equal(got, want)
+
     def test_writing_into_a_result_leaves_the_next_call_alone(self):
         w = ml_weights(0.6, 3.0, 10)
         want = w.copy()
@@ -187,6 +206,23 @@ class TestContourCache:
                     break
                 k += 1
         np.testing.assert_allclose(ml_deriv(alpha, beta, n, x), float(want), rtol=1e-11)
+
+
+class TestNodePowers:
+    # numpy's complex power takes special paths (repeated multiplication,
+    # square root) at integer and half-integer exponents, so the grid
+    # avoids them; there e^(p log s) agrees to a few ulps instead
+    POWERS = [p / 20.0 + 0.013 for p in range(-60, 60)] + [
+        0.6 * (n + 1) - (n * 0.6 + beta) for n in range(1, 13) for beta in (1.0, 1.3)
+    ]  # the last are the powers of ml_deriv at alpha 0.6
+
+    def test_exp_log_is_the_complex_power_bit_for_bit(self):
+        for p in self.POWERS:
+            np.testing.assert_array_equal(np.exp(p * _LOG_S), _S**p)
+
+    def test_special_exponents_within_a_few_ulps(self):
+        for p in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            np.testing.assert_allclose(np.exp(p * _LOG_S), _S**p, rtol=4e-15)
 
 
 class TestMittagLefflerDomain:
@@ -286,6 +322,42 @@ class TestWeightVector:
     def test_half_order_survival_is_scaled_erfc(self):
         # E_{1/2}(-x) = e^(x^2) erfc(x) = erfcx(x)
         np.testing.assert_allclose(ml_weights(0.5, 45.0, 0)[0], special.erfcx(45.0), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 0.999),
+        x=st.floats(0.0, 50.0),
+        m=st.integers(0, 299),
+        extra=st.integers(1, 300),
+    )
+    def test_a_shorter_vector_is_a_prefix(self, alpha, x, m, extra):
+        # each row is inverted on its own; only the BLAS summation order,
+        # which can depend on the number of rows, may move the last bits
+        n = min(m + extra, 300)
+        try:
+            short, full = ml_weights(alpha, x, m), ml_weights(alpha, x, n)
+        except NonConvergenceError:  # near alpha = 1 at large x and n
+            return
+        np.testing.assert_allclose(short, full[: m + 1], rtol=0, atol=5e-14)
+
+    @settings(max_examples=8, deadline=None)
+    @given(alpha=st.floats(0.4, 0.9), x=st.floats(0.05, 30.0))
+    def test_first_rows_against_mpmath(self, alpha, x):
+        # w_k inverts x^k s^(alpha-1) / (s^alpha + x)^(k+1); folding that
+        # transform onto the branch cut s = u^(1/alpha) e^(i pi) gives
+        # w_k = x^k / (alpha pi) int_0^inf e^(-u^(1/alpha)) Im(e^(i alpha pi)
+        # / (u e^(i alpha pi) + x)^(k+1)) du, a real integral, no contour
+        with mp.workdps(20):
+            a, xm = mp.mpf(alpha), mp.mpf(x)
+            turn = mp.expjpi(a)
+            want = [
+                float(xm**k / (a * mp.pi) * mp.quad(
+                    lambda u: mp.exp(-u ** (1 / a)) * mp.im(turn / (u * turn + xm) ** (k + 1)),
+                    [0, xm, mp.inf],
+                ))
+                for k in range(5)
+            ]
+        np.testing.assert_allclose(ml_weights(alpha, x, 4), want, rtol=0, atol=1e-13)
 
     def test_unresolved_near_singularity_raises(self):
         # at alpha -> 1 and x = 50 the transform is nearly singular just
