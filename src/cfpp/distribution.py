@@ -10,11 +10,12 @@ with b = 1 / (s^alpha + x), r = x b and g_j = delta_j / lambda_0 the jump
 law: the Laplace-domain form of Panjer's recursion (ASTIN Bulletin 12
 (1981) 22-26).  Every P_n carries the factor s^(alpha - 1), so the rows
 are built without it and ``special.invert_rows`` holds it in its weights.
-``pmf_cfpp`` builds the rows n = 0, 1, ... in blocks and inverts each block
-with one real matrix product, which also gives the contour's error estimate;
-left to size itself, it stops after the first block at which the mass it
-has computed is within TAIL_TOL of 1, or at N_MAX_CEILING.  At alpha = 1 the
-law is compound Poisson and Panjer's recursion in t gives it directly.
+``pmf_cfpp`` builds the rows n = 0, 1, ... in blocks, each made and inverted
+in chunks of at most CHUNK rows with one real matrix product per chunk,
+which also gives the contour's error estimate; left to size itself, it
+stops after the first block at which the mass it has computed is within
+TAIL_TOL of 1, or at N_MAX_CEILING.  At alpha = 1 the law is compound
+Poisson and Panjer's recursion in t gives it directly.
 
 The compound form
 
@@ -29,6 +30,7 @@ T t^alpha are computed once, in ``_second_order``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,10 +40,11 @@ import numpy as np
 from . import intensity as intens
 from . import partitions, special
 from .errors import DomainError
-from .special import N_MAX_CEILING, _check_n_max
+from .special import N_MAX_CEILING, _check_gap, _check_n_max
 
 TAIL_TOL = 1e-7  # mass an auto-sized pmf_cfpp may leave out
 FIRST_BLOCK = 16  # rows inverted first; each later block doubles the rows so far
+CHUNK = 256  # most rows built and inverted at once: a 1 MB complex buffer
 ORACLE_N_CEILING = 128  # the jump-sum matrix is (n+1)^2, built by n convolutions
 ENUMERATION_N_CEILING = 20  # the theta and composition enumerations grow exponentially in n
 
@@ -133,14 +136,17 @@ def _block_sizes(n_max):
         total += m
 
 
-def _node_blocks(model, alpha, x, sizes):
-    """Blocks of the state transforms P_0, P_1, ... on the contour nodes, one per size.
+def _node_blocks(model, alpha, x, sizes, probs):
+    """Fill probs with p_0, p_1, ... from the contour, one block per size,
+    yielding the number of rows filled after each block.
 
     Each row is P_n / s^(alpha - 1), starting from b; see ``invert_rows``.
     P_n = r sum_j g_j P_(n-j) is one (J x nodes) product per row for jumps
     up to J.  Geometric jumps, g_j = (1 - q) q^(j-1), collapse it to
     P_1 = r (1 - q) P_0 and P_(n+1) = zeta P_n with zeta = q + (1 - q) r;
-    unit jumps are the case q = 0.
+    unit jumps are the case q = 0.  A block is built and inverted in chunks
+    of at most CHUNK rows through one buffer, which grows to the largest
+    chunk, and its largest error estimate is checked as one.
     """
     b, r = special.node_transforms(alpha, x)
     support = _jump_support(model)
@@ -149,22 +155,33 @@ def _node_blocks(model, alpha, x, sizes):
         zeta = q + (1.0 - q) * r
         lag, first = 1, np.array([b, r * (1.0 - q) * b])
     else:
-        g = np.array([intens.jump_pmf(model, j) for j in range(support, 0, -1)], dtype=complex)
+        g = np.divide(model.deltas[::-1], model.lambda_at(0)).astype(complex)  # g_J..g_1
         lag, first = support, b[None, :]
-    recent = np.zeros((lag, b.size), dtype=complex)  # the last lag rows made
+    rows = np.zeros((lag, b.size), dtype=complex)  # rows[last : last + lag] are the last lag rows made
+    made = last = 0  # rows filled, and rows in the last chunk
     for m in sizes:
-        rows = np.empty((lag + m, b.size), dtype=complex)
-        rows[:lag] = recent
-        head, first = first[:m], first[m:]  # rows given rather than made
-        rows[lag : lag + len(head)] = head
-        if lag == 1:
-            for i in range(1 + len(head), 1 + m):
-                np.multiply(rows[i - 1], zeta, out=rows[i])
-        else:
-            for i in range(lag + len(head), lag + m):
-                np.multiply(np.dot(g, rows[i - lag : i]), r, out=rows[i])
-        recent = rows[m:]
-        yield rows[lag:]
+        err = 0.0
+        for start in range(made, made + m, CHUNK):
+            k = min(CHUNK, made + m - start)
+            recent = rows[last : last + lag]
+            if len(rows) < lag + k:
+                rows = np.empty((lag + k, b.size), dtype=complex)
+            rows[:lag] = recent
+            last = k
+            head, first = first[:k], first[k:]  # rows given rather than made
+            rows[lag : lag + len(head)] = head
+            if lag == 1:
+                for i in range(1 + len(head), 1 + k):
+                    np.multiply(rows[i - 1], zeta, out=rows[i])
+            else:
+                for i in range(lag + len(head), lag + k):
+                    np.multiply(np.dot(g, rows[i - lag : i]), r, out=rows[i])
+            values, gap = special.invert_rows(rows[lag : lag + k], alpha)
+            probs[start : start + k] = values
+            err = np.maximum(err, gap)  # keeps a NaN gap, which max() could pass over
+        _check_gap(err)
+        made += m
+        yield made
 
 
 def _panjer_probs(model, x):
@@ -183,7 +200,8 @@ def _panjer_probs(model, x):
         for n in itertools.count():
             prev, cur = cur, ((2.0 * q * n + x * (1.0 - q)) * cur - q * q * (n - 1) * prev) / (n + 1)
             yield cur
-    jg = [j * intens.jump_pmf(model, j) for j in range(1, support + 1)]  # j g_j
+    lam0 = model.lambda_at(0)
+    jg = [j * (d / lam0) for j, d in enumerate(model.deltas, 1)]  # j g_j
     probs = [p0]
     for n in itertools.count(1):
         recent = probs[max(0, n - support):][::-1]  # p_(n-1), p_(n-2), ...
@@ -191,20 +209,27 @@ def _panjer_probs(model, x):
         yield probs[-1]
 
 
+def _panjer_blocks(model, x, sizes, probs):
+    """As ``_node_blocks`` at alpha = 1, from ``_panjer_probs``."""
+    stream = _panjer_probs(model, x)
+    made = 0
+    for m in sizes:
+        probs[made : made + m] = np.fromiter(itertools.islice(stream, m), dtype=float, count=m)
+        made += m
+        yield made
+
+
 def _state_probs(model, alpha, x, n_max):
     """p_0..p_n_max, or with n_max None through the first block after which
     1 - sum p <= TAIL_TOL."""
-    sizes = _block_sizes(n_max)
+    probs = np.empty(N_MAX_CEILING + 1 if n_max is None else n_max + 1)
     if alpha == 1.0:
-        stream = _panjer_probs(model, x)
-        blocks = (np.fromiter(itertools.islice(stream, m), dtype=float, count=m) for m in sizes)
+        filled = _panjer_blocks(model, x, _block_sizes(n_max), probs)
     else:
-        blocks = (special.invert_rows(rows, alpha) for rows in _node_blocks(model, alpha, x, sizes))
-    probs = np.empty(0)
-    for block in blocks:
-        probs = np.concatenate([probs, block])
-        if n_max is None and 1.0 - probs.sum() <= TAIL_TOL:
-            break
+        filled = _node_blocks(model, alpha, x, _block_sizes(n_max), probs)
+    for made in filled:
+        if n_max is None and 1.0 - probs[:made].sum() <= TAIL_TOL:
+            return probs[:made].copy()
     return probs
 
 
@@ -414,6 +439,16 @@ def var_cfpp(model, alpha: float, t: float) -> float:
     return var
 
 
+@functools.lru_cache(maxsize=R_MAX)
+def _moment_constants(r_max):
+    """Read-only r! for r = 0..r_max and the powers of e^w - 1 that turn
+    factorial-moment coefficients into raw ones (see ``_moments``)."""
+    fact_r = np.array([math.factorial(r) for r in range(r_max + 1)], dtype=float)
+    to_raw = _convolution_powers(np.append(0.0, 1.0 / fact_r[1:]), r_max)
+    fact_r.flags.writeable = to_raw.flags.writeable = False
+    return fact_r, to_raw
+
+
 def _moments(model, alpha, t, r_max):
     """Raw and factorial moments of orders 0..r_max, as two arrays.
 
@@ -426,14 +461,13 @@ def _moments(model, alpha, t, r_max):
     _validate_common(model, alpha, t)
     if not 1 <= r_max <= R_MAX:
         raise DomainError(f"moment order must lie in 1..{R_MAX}, got {r_max}")
-    fact_r = np.array([math.factorial(r) for r in range(r_max + 1)], dtype=float)
+    fact_r, to_raw = _moment_constants(r_max)
     inner = np.array([0.0] + [model.falling_factorial_delta_sum(m) for m in range(1, r_max + 1)])
-    exp_minus_1 = np.append(0.0, 1.0 / fact_r[1:])
     k_alpha = alpha * np.arange(r_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         outer = t**k_alpha / np.array([math.gamma(a + 1.0) for a in k_alpha])
         taylor = outer @ _convolution_powers(inner / fact_r, r_max)
-        raw = fact_r * (taylor @ _convolution_powers(exp_minus_1, r_max))
+        raw = fact_r * (taylor @ to_raw)
     fact = fact_r * taylor
     if not np.isfinite([raw, fact]).all():
         raise DomainError(f"moments up to order {r_max} overflow at t={t}")

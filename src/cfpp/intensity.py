@@ -14,13 +14,15 @@ Two families are first-class:
   jump law is geometric on {1, 2, ...} and whose series sums close in form.
 
 Each model gives lambda_j as ``model.lambda_at(j)``; ``delta`` and
-``jump_pmf`` are module functions of (model, j).
+``jump_pmf`` are module functions of (model, j).  A finite model derives its
+jump law once, at construction: ``deltas`` holds delta_1..delta_J up to the
+largest jump J, and every quantity of the jump law reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import DomainError
@@ -30,6 +32,7 @@ class FiniteIntensity:
     """Intensities (lambda_0, ..., lambda_J), identically zero beyond J."""
 
     values: tuple
+    deltas: tuple = field(init=False, repr=False, compare=False)  # delta_1..delta_J
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.values)
@@ -42,6 +45,10 @@ class FiniteIntensity:
         if any(a < b for a, b in zip(values, values[1:])):
             raise DomainError("intensity sequence must be non-increasing")
         object.__setattr__(self, "values", values)
+        deltas = [a - b for a, b in zip(values, values[1:] + (0.0,))]
+        while not deltas[-1] > 0:  # lambda_0 > 0, so some delta_j is positive
+            deltas.pop()
+        object.__setattr__(self, "deltas", tuple(deltas))
 
     def lambda_at(self, j: int) -> float:
         if j < 0 or j >= len(self.values):
@@ -51,10 +58,7 @@ class FiniteIntensity:
     @property
     def jump_support_max(self) -> int:
         """Largest j with delta_j > 0 (jumps never exceed len(values))."""
-        for j in range(len(self.values), 0, -1):
-            if self.lambda_at(j - 1) - self.lambda_at(j) > 0:
-                return j
-        return 1
+        return len(self.deltas)
 
     def sum_lambda(self) -> float:
         return sum(self.values)
@@ -65,7 +69,7 @@ class FiniteIntensity:
     def falling_factorial_delta_sum(self, m: int) -> float:
         if m < 0:
             raise DomainError(f"order must be >= 0, got {m}")
-        return sum(math.perm(j, m) * delta(self, j) for j in range(1, len(self.values) + 1))
+        return sum(math.perm(j, m) * d for j, d in enumerate(self.deltas, 1))
 
     def to_config(self) -> dict:
         return {"type": "finite", "values": list(self.values)}
@@ -119,6 +123,8 @@ def delta(model: IntensityModel, j: int) -> float:
     """delta_j = lambda_(j-1) - lambda_j for j >= 1 (always nonnegative)."""
     if j < 1:
         raise DomainError(f"delta is defined for j >= 1, got j={j}")
+    if isinstance(model, FiniteIntensity):
+        return model.deltas[j - 1] if j <= len(model.deltas) else 0.0
     return model.lambda_at(j - 1) - model.lambda_at(j)
 
 
@@ -138,8 +144,8 @@ def delta_series(model: IntensityModel, u: float) -> float:
         # sum_{j>=1} u^j delta_j = lambda_0 (1-q) u / (1 - q u)
         return lam0 * (1.0 - model.q) * u / (1.0 - model.q * u) - lam0
     total = -lam0
-    for j in range(1, model.jump_support_max + 1):
-        total += u**j * delta(model, j)
+    for j, d in enumerate(model.deltas, 1):
+        total += u**j * d
     return total
 
 

@@ -164,8 +164,7 @@ class JumpSampler:
             self._p_success = 1.0 - model.q
             self._cdf = None
         else:
-            support = model.jump_support_max
-            cdf = np.cumsum([intens.jump_pmf(model, j) for j in range(1, support + 1)])
+            cdf = np.cumsum(np.divide(model.deltas, model.lambda_at(0)))
             self._cdf = cdf / cdf[-1]
 
     def sample(self, rng, size):

@@ -78,11 +78,12 @@ def _real_weights(w):
 _WR = _real_weights(_W)
 
 
-def _unresolved(err):
-    """The error for a contour error estimate err above _CONTOUR_TOL."""
-    return NonConvergenceError(
-        f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
-    )
+def _check_gap(err):
+    """Raise NonConvergenceError unless the contour error estimate err is at most _CONTOUR_TOL."""
+    if not err <= _CONTOUR_TOL:
+        raise NonConvergenceError(
+            f"Bromwich contour error estimate {err:.1e} exceeds {_CONTOUR_TOL:.0e}"
+        )
 
 
 def _check_n_max(n_max, ceiling=N_MAX_CEILING):
@@ -157,13 +158,12 @@ def ml_three(params: MLParams, x: float) -> float:
         raise DomainError(
             f"|x| = {abs(x)} exceeds the accuracy domain |x| <= {ML_MAX_ABS_ARGUMENT}"
         )
-    # 1/Gamma(beta) through lgamma: Gamma(beta) overflows past beta = 171.6
-    inv_gamma_beta = math.exp(-math.lgamma(beta))
-    if x == 0.0:
-        return inv_gamma_beta
+    if x == 0.0:  # 1/Gamma(beta) through lgamma: Gamma(beta) overflows past beta = 171.6
+        return math.exp(-math.lgamma(beta))
     if x > 0.0:
         return _ml_positive_series(alpha, beta, gamma, x)
     if alpha == 1.0:
+        inv_gamma_beta = math.exp(-math.lgamma(beta))
         if gamma == beta:  # 1F1(beta; beta; x) = e^x
             return math.exp(x) * inv_gamma_beta
         # imported here: scipy.special adds about 0.3 s to every cfpp process
@@ -178,9 +178,7 @@ def ml_three(params: MLParams, x: float) -> float:
     bottom = sa - x if gamma == 1.0 else (sa - x) ** gamma
     # the rule of invert_rows on one value, in Python floats
     value, gap = ((top / bottom).view(float) @ _WR).tolist()
-    err = abs(gap) / max(1.0, abs(value))
-    if not err <= _CONTOUR_TOL:
-        raise _unresolved(err)
+    _check_gap(abs(gap) / max(1.0, abs(value)))
     return value
 
 
@@ -227,7 +225,9 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
     rows[0] = b
     for k in range(1, n_max + 1):
         np.multiply(rows[k - 1], r, out=rows[k])
-    return invert_rows(rows, alpha)
+    values, err = invert_rows(rows, alpha)
+    _check_gap(err)
+    return values
 
 
 def node_transforms(alpha: float, x: float):
@@ -241,22 +241,20 @@ def node_transforms(alpha: float, x: float):
     return b, x * b
 
 
-def invert_rows(rows, alpha: float) -> np.ndarray:
-    """Inverse transforms at t = 1 of s^(alpha-1) times each row of transforms on the nodes.
+def invert_rows(rows, alpha: float):
+    """Inverse transforms at t = 1 of s^(alpha-1) times each row of transforms
+    on the nodes, and their largest error estimate.
 
     The rows are probability transforms with their common factor
     s^(alpha-1) left out (see ``node_transforms``); one real product with
-    the weights that hold it gives every value and its h/2h gap.  Raises
-    NonConvergenceError where a gap exceeds _CONTOUR_TOL relative to
-    max(1, |value|).  Values are clipped at 0, since rounding can leave a
+    the weights that hold it gives every value and its h/2h gap, and the
+    estimate is the largest gap relative to max(1, |value|), for
+    ``_check_gap``.  Values are clipped at 0, since rounding can leave a
     far-tail probability a few ulps below it.
     """
     both = rows.view(float) @ _node_powers(alpha)[2]
     size = abs(both)
-    err = (size[..., 1] / np.maximum(size[..., 0], 1.0)).max()
-    if not err <= _CONTOUR_TOL:
-        raise _unresolved(err)
-    return np.maximum(both[..., 0], 0.0)
+    return np.maximum(both[..., 0], 0.0), (size[..., 1] / np.maximum(size[..., 0], 1.0)).max()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from cfpp.distribution import (
     N_MAX_CEILING,
     ORACLE_N_CEILING,
     TAIL_TOL,
+    _convolution_powers,
+    _moment_constants,
     _second_order,
     factorial_moment,
     jump_sum_pmf,
@@ -130,6 +132,13 @@ class TestStateProbabilities:
             pmf_cfpp_composition(GEO, 0.7, 1.0, 21)
         with pytest.raises(DomainError):
             pmf_tfpp(1.0, 0.5, 1.0, N_MAX_CEILING + 1)
+
+    def test_overflowing_rows_fail_their_block(self):
+        # Unit jumps at alpha = 0.95, x = 50: the rows overflow hundreds of
+        # rows in, so a later chunk's NaN estimate must fail the whole block.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="nan"):
+                pmf_cfpp(UNIT, 0.95, 50.0 ** (1 / 0.95), N_MAX_CEILING)
 
     # The jump-sum matrix times the fractional-Poisson weights: the engine
     # pmf_cfpp ran before the contour recurrence, kept as its reference.
@@ -406,6 +415,19 @@ class TestGeneratingFunctions:
 
 
 class TestMoments:
+    def test_cached_constants_are_read_only_and_stable(self):
+        # r! and the powers of e^w - 1, cached per order
+        for r_max in range(1, 7):
+            fact_r, to_raw = _moment_constants(r_max)
+            for arr in (fact_r, to_raw):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+            want = np.array([math.factorial(r) for r in range(r_max + 1)], dtype=float)
+            np.testing.assert_array_equal(fact_r, want)
+            np.testing.assert_array_equal(to_raw, _convolution_powers(np.append(0.0, 1.0 / want[1:]), r_max))
+            assert _moment_constants(r_max)[1] is to_raw
+
     def test_mean_and_variance_hand_values(self):
         np.testing.assert_allclose(mean_cfpp(GEO, 1.0, 3.0), 6.0, rtol=1e-13)
         np.testing.assert_allclose(var_cfpp(GEO, 1.0, 1.0), 6.0, rtol=1e-13)

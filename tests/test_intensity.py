@@ -1,8 +1,13 @@
 """Intensity models: closed-form sums, jump laws, and validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfpp.distribution import moment_report, pgf, pmf_cfpp
 from cfpp.errors import DomainError
 from cfpp.intensity import (
     FiniteIntensity,
@@ -12,6 +17,15 @@ from cfpp.intensity import (
     from_config,
     jump_pmf,
 )
+from cfpp.simulate import METHOD_RENEWAL, METHOD_TIME_CHANGE, sample_cfpp_batch
+
+# Non-increasing finite sequences: drawn from a few levels, so equal
+# neighbours are common, then padded with up to three trailing zeros.
+FINITE_VALUES = st.tuples(
+    st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), st.floats(0.0, 3.0)),
+             min_size=1, max_size=10).filter(lambda v: max(v) > 0),
+    st.integers(0, 3),
+).map(lambda vz: sorted(vz[0], reverse=True) + [0.0] * vz[1])
 
 
 class TestLambdaAt:
@@ -120,6 +134,46 @@ class TestDerivedSeries:
             np.testing.assert_allclose(
                 model.falling_factorial_delta_sum(m_order), direct, rtol=1e-9
             )
+
+
+class TestStoredJumpLaw:
+    """A finite model derives delta_1..delta_J once; every reader matches the definition."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(values=FINITE_VALUES, u=st.floats(-1.0, 1.0))
+    def test_stored_law_matches_the_definition(self, values, u):
+        m = FiniteIntensity(values)
+        lam = [float(v) for v in values] + [0.0]
+        defined = [lam[j - 1] - lam[j] for j in range(1, len(values) + 1)]
+        support = max(j for j, d in enumerate(defined, 1) if d > 0)
+        assert m.jump_support_max == support
+        assert m.deltas == tuple(defined[:support])
+        for j in range(1, len(values) + 3):
+            want = defined[j - 1] if j <= len(values) else 0.0
+            assert delta(m, j) == want
+            assert jump_pmf(m, j) == want / lam[0]
+        series = -lam[0]
+        for j, d in enumerate(defined, 1):
+            series += u**j * d
+        assert delta_series(m, u) == series
+        for order in range(7):
+            want = sum(math.perm(j, order) * d for j, d in enumerate(defined, 1))
+            assert m.falling_factorial_delta_sum(order) == want
+
+    def test_trailing_zeros_leave_every_result_alone(self):
+        padded, plain = FiniteIntensity([1.0, 0.5, 0.0, 0.0]), FiniteIntensity([1.0, 0.5])
+        assert padded.deltas == plain.deltas
+        for alpha, t in ((0.4, 2.0), (0.8, 5.0), (1.0, 3.0)):
+            np.testing.assert_array_equal(pmf_cfpp(padded, alpha, t).probs, pmf_cfpp(plain, alpha, t).probs)
+            np.testing.assert_array_equal(pmf_cfpp(padded, alpha, t, 40).probs,
+                                          pmf_cfpp(plain, alpha, t, 40).probs)
+            assert [pgf(padded, alpha, t, u) for u in (-0.7, 0.0, 0.3, 0.9)] == \
+                [pgf(plain, alpha, t, u) for u in (-0.7, 0.0, 0.3, 0.9)]
+            assert moment_report(padded, alpha, t, 6) == moment_report(plain, alpha, t, 6)
+            for method in (METHOD_TIME_CHANGE, METHOD_RENEWAL):
+                draws = [sample_cfpp_batch(m, alpha, t, np.random.default_rng(8), 3000, method)
+                         for m in (padded, plain)]
+                np.testing.assert_array_equal(*draws)
 
 
 class TestValidationAndConfig:

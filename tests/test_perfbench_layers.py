@@ -39,11 +39,14 @@ def test_layer_wrappers_install_run_and_restore(monkeypatch):
         assert spans.is_wrapped(cfpp.distribution.default_n_max)
         # runs the wrapper and its N_MAX_CEILING counter
         n_max = cfpp.distribution.default_n_max(GeometricIntensity(1.0, 0.5), 0.7, 1.0)
+        # the exact-law trace counts the pgf's contour calls in this span
+        cfpp.distribution.pgf(GeometricIntensity(1.0, 0.5), 0.7, 1.0, 0.5)
     finally:
         tracer.restore()
     rows = tracer.by_name()
     assert rows["distribution.default_n_max"]["calls"] == 1
     assert rows["distribution.pmf_cfpp"]["calls"] == 1
+    assert rows["special.ml_three"]["calls"] == 1
     assert tracer.maxima["distribution.truncation_mass.max"] <= cfpp.distribution.TAIL_TOL
     assert n_max < cfpp.distribution.N_MAX_CEILING
     assert "distribution.n_max_capped" not in tracer.counts
