@@ -12,9 +12,11 @@ three constants come from ``distribution._second_order``, which
     Cov(N(s), N(t)) = T s^alpha + Sigma^2 Cov(H(s), H(t)),
 
 with H the inverse alpha-stable subordinator.  All returned values come
-from these exact expressions; the power-law decay rates that classify the
-long- and short-range dependence regimes live in the tests as expected
-limits, never as computation paths.
+from these exact expressions; where they cancel, Cov(H(s), H(t)) and the
+increment covariance sum ``special.beta_series`` without the cancelling
+terms.  The power-law decay rates that classify the long- and short-range
+dependence regimes live in the tests as expected limits, never as
+computation paths.
 
 Every time, lag and level argument must be finite, and a value that
 overflows or is not finite is refused with DomainError rather than
@@ -30,7 +32,7 @@ import numpy as np
 
 from .distribution import _second_order, var_cfpp
 from .errors import DegenerateFitError, DomainError
-from .special import complete_beta, incomplete_beta
+from .special import beta_series, complete_beta, incomplete_beta
 
 
 def _finite(func):
@@ -57,9 +59,9 @@ def cov_inverse_stable(alpha: float, s: float, t: float) -> float:
     """Cov(H(s), H(t)) of the inverse alpha-stable subordinator, 0 < s <= t.
 
     With x = s / t, f = alpha t^(2 alpha) B(alpha, alpha + 1; x) - (ts)^alpha
-    cancels as t grows, so for x <= 1/2 it is summed as (ts)^alpha
-    sum_(n>=1) alpha / (alpha + n) c_n x^n, c_n the coefficients of
-    (1 - u)^alpha: the incomplete beta's series without its n = 0 term.
+    cancels as t grows, so for x <= 1/2 it is summed as (ts)^alpha alpha
+    sum_(n>=1) e_n x^n / (alpha + n): ``beta_series`` without its n = 0
+    term, which is the (ts)^alpha that cancels.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -68,15 +70,7 @@ def cov_inverse_stable(alpha: float, s: float, t: float) -> float:
     ga2 = math.gamma(alpha + 1.0) ** 2
     x = s / t
     if x <= 0.5:
-        c_xn, series, n = 1.0, 0.0, 0
-        while True:
-            n += 1
-            c_xn *= (n - 1 - alpha) / n * x
-            term = alpha / (alpha + n) * c_xn
-            series += term
-            if abs(term) <= 1e-17 * abs(series):
-                break
-        f = (t * s) ** alpha * series
+        f = (t * s) ** alpha * alpha * beta_series(alpha, alpha + 1.0, x, start=1)
     else:
         f = alpha * t ** (2.0 * alpha) * incomplete_beta(alpha, alpha + 1.0, x) - (t * s) ** alpha
     return (alpha * s ** (2.0 * alpha) * complete_beta(alpha, alpha + 1.0) + f) / ga2
@@ -114,20 +108,39 @@ def corr_cfpp(model, alpha: float, s: float, t: float) -> float:
 
 @_finite
 def cov_increment(model, alpha: float, s: float, t: float, delta: float) -> float:
-    """Cov(Z(s), Z(t)) for the lag-delta increments, exact four-term expansion.
+    """Cov(Z(s), Z(t)) for the lag-delta increments, any s, t >= 0.
 
-    The expansion is valid for any s, t >= 0; the short-range-dependence
-    regime of interest has s + delta <= t.
+    Near the diagonal, and at alpha = 1, it is the four-term expansion
+    c(s+d, t+d) + c(s, t) - c(s+d, t) - c(s, t+d) of ``cov_cfpp``.  With
+    lo = min(s, t), hi = max(s, t) and r = (lo + d) / hi <= 0.9 those terms
+    agree to many digits; their T lo^alpha and lo^(2 alpha) B terms cancel
+    exactly, and what is left is summed term by term, every term positive:
+
+        R^2 alpha sum_(n>=1) e_n / (alpha + n) [(lo+d)^(alpha+n) - lo^(alpha+n)]
+                                           [(hi+d)^(alpha-n) - hi^(alpha-n)],
+
+    R = Sigma / Gamma(alpha + 1), e_n the coefficients of (1 - u)^alpha.
+    The brackets go through expm1 and log1p, and their powers are grouped
+    as ((lo+d) hi)^alpha r^n, so none overflows when the value does not.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
     if s < 0 or t < 0:
         raise DomainError(f"times must be nonnegative, got s={s}, t={t}")
+    lo, hi = min(s, t), max(s, t)
+    if alpha == 1.0 or 0.9 * hi < lo + delta:  # r > 0.9 needs over 330 terms
+        pairs = ((s + delta, t + delta), (s, t), (s + delta, t), (s, t + delta))
+        c = [cov_cfpp(model, alpha, min(a, b), max(a, b)) for a, b in pairs]
+        return c[0] + c[1] - c[2] - c[3]
+    mean_coeff, lo_d = _second_order(model, alpha)[0], lo + delta
+    log_lo = -math.log1p(delta / lo) if lo > 0 else -math.inf  # log(lo / (lo + d))
+    log_hi = math.log1p(delta / hi)
 
-    def c(a, b):
-        return cov_cfpp(model, alpha, min(a, b), max(a, b))
+    def brackets(n):
+        return -math.expm1((alpha + n) * log_lo) * math.expm1((alpha - n) * log_hi)
 
-    return c(s + delta, t + delta) + c(s, t) - c(s + delta, t) - c(s, t + delta)
+    series = beta_series(alpha, alpha + 1.0, lo_d / hi, start=1, weight=brackets)
+    return mean_coeff**2 * alpha * lo_d**alpha * (hi**alpha * series)
 
 
 @_finite
@@ -159,13 +172,13 @@ def var_increment(model, alpha: float, t: float, delta: float) -> float:
 
 @_finite
 def corr_increment(model, alpha: float, s: float, t: float, delta: float) -> float:
-    """Corr(Z(s), Z(t)); symmetric in (s, t)."""
-    if s == t:
-        return 1.0
+    """Corr(Z(s), Z(t)); symmetric in (s, t), 1 on the diagonal once the arguments pass."""
     lo, hi = min(s, t), max(s, t)
     denom = var_increment(model, alpha, lo, delta) * var_increment(model, alpha, hi, delta)
     if denom <= 0:
         raise DomainError("increment correlation undefined: zero variance")
+    if s == t:
+        return 1.0
     return cov_increment(model, alpha, lo, hi, delta) / math.sqrt(denom)
 
 

@@ -27,6 +27,9 @@ Poisson transforms share.  Elsewhere: 1/Gamma(beta) at x = 0, the
 positive-term series for x > 0, and at alpha = 1 e^x / Gamma(beta) when
 gamma = beta, Kummer's function 1F1(gamma; beta; x) / Gamma(beta)
 otherwise, or for the weight vector the Poisson pmf.
+
+The incomplete beta is one binomial series, ``beta_series``, for a and b
+in (0, 10]; the covariances of ``dependence`` sum the same terms.
 """
 
 from __future__ import annotations
@@ -267,60 +270,42 @@ def complete_beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def _beta_cf(a, b, x, max_iter=500, eps=1e-16):
-    """Continued fraction for the regularized incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise NonConvergenceError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+def beta_series(a, b, y, start=0, weight=None):
+    """sum_(n >= start) e_n y^n / (a + n), times weight(n) when given.
+
+    e_0 = 1 and e_n = e_(n-1) (n - b) / n are the coefficients of
+    (1 - u)^(b - 1), so with start = 0 and no weight y^a times the sum is
+    B(a, b; y).  The sum stops at the first term that is at most 1e-17 of
+    it; past n = b the terms keep one sign and shrink by at least y.
+    """
+    e, y_n, total, n = 1.0, 1.0, 0.0, 0
+    while True:
+        if n >= start:
+            term = e * y_n / (a + n) * (1.0 if weight is None else weight(n))
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                return total
+        n += 1
+        e *= (n - b) / n
+        y_n *= y
 
 
 def incomplete_beta(a: float, b: float, x: float) -> float:
     """Unregularized incomplete beta B(a, b; x) = int_0^x u^(a-1) (1-u)^(b-1) du.
 
-    Uses the continued fraction for the regularized function with the
-    symmetry switch at x > (a+1)/(a+b+2), so arguments near 1 are computed
-    through the rapidly converging complement.
+    Sums ``beta_series`` for x < (a+1)/(a+b+2), and above that takes the
+    complement B(a, b) - B(b, a; 1 - x), where the series converges fast.
+    Past 10 its binomial coefficients alternate and cancel, so a or b
+    outside (0, 10], or NaN, is refused.
     """
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
+    if not (0 < a <= 10 and 0 < b <= 10):
+        raise DomainError(f"beta parameters must lie in (0, 10], got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return complete_beta(a, b)
-    log_front = a * math.log(x) + b * math.log1p(-x)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_cf(a, b, x) / a
-    return complete_beta(a, b) - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
+        return x**a * beta_series(a, b, x)
+    return complete_beta(a, b) - (1.0 - x) ** b * beta_series(b, a, 1.0 - x)

@@ -324,6 +324,13 @@ class TestDependenceCommand:
         covs = [float(row.split(",")[2]) for row in capsys.readouterr().out.strip().split("\n")[1:]]
         assert len(covs) == 4 and min(covs) > 0 and covs == sorted(covs)
 
+    def test_diagonal_increment_with_bad_lag_is_a_numeric_error(self, geo_config):
+        # the grid starts at s, where the increment correlation is 1 once its
+        # arguments pass
+        argv = ["dependence", "--config", geo_config, "--mode", "increment",
+                "--s", "2", "--t-min", "2", "--t-max", "2000", "--points", "8", "--delta", "-1"]
+        assert main(argv) == EXIT_NUMERIC
+
     def test_process_table(self, geo_config, capsys):
         assert main(
             ["dependence", "--config", geo_config, "--mode", "process", "--points", "9"]

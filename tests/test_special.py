@@ -8,7 +8,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -342,12 +342,14 @@ class TestWeightVector:
 
     @settings(max_examples=8, deadline=None)
     @given(alpha=st.floats(0.4, 0.9), x=st.floats(0.05, 30.0))
+    @example(alpha=0.46889067325638234, x=21.8046875)
     def test_first_rows_against_mpmath(self, alpha, x):
         # w_k inverts x^k s^(alpha-1) / (s^alpha + x)^(k+1); folding that
         # transform onto the branch cut s = u^(1/alpha) e^(i pi) gives
         # w_k = x^k / (alpha pi) int_0^inf e^(-u^(1/alpha)) Im(e^(i alpha pi)
-        # / (u e^(i alpha pi) + x)^(k+1)) du, a real integral, no contour
-        with mp.workdps(20):
+        # / (u e^(i alpha pi) + x)^(k+1)) du, a real integral, no contour.
+        # At 20 digits mp.quad misses w_2 by 2e-12 at the example above.
+        with mp.workdps(30):
             a, xm = mp.mpf(alpha), mp.mpf(x)
             turn = mp.expjpi(a)
             want = [
@@ -427,3 +429,34 @@ class TestIncompleteBeta:
 
     def test_complete_beta_helper(self):
         np.testing.assert_allclose(complete_beta(2.0, 3.0), 1.0 / 12.0, rtol=1e-13)
+
+
+class TestIncompleteBetaSeries:
+    # a and b start at 0.01: above the switch the complement
+    # B(a, b) - B(b, a; 1 - x) cancels about log10(1 / b) digits of B(a, b)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 10.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_against_mpmath(self, a, b, x):
+        with mp.workdps(40):
+            want = float(mp.betainc(a, b, 0, x))
+        # results below 1e-300 are subnormal or round to 0 on both sides
+        np.testing.assert_allclose(incomplete_beta(a, b, x), want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize(
+        "a,b,x",
+        [(30.0, 30.0, 0.5), (0.5, 11.0, 0.2), (11.0, 0.5, 0.2), (math.nan, 1.0, 0.5),
+         (1.0, math.nan, 0.5), (math.inf, 1.0, 0.5), (1.0, math.inf, 0.5)],
+    )
+    def test_parameters_outside_the_series_domain_are_refused(self, a, b, x):
+        # past 10 the binomial coefficients alternate and cancel, and a NaN or
+        # infinite parameter would never end the sum
+        with pytest.raises(DomainError):
+            incomplete_beta(a, b, x)
+
+    def test_exact_switch_point(self):
+        # x = (a+1)/(a+b+2) takes the complement, which sums the series directly
+        np.testing.assert_allclose(incomplete_beta(2.0, 2.0, 0.5), 1.0 / 12.0, rtol=1e-14)
