@@ -30,6 +30,7 @@ T t^alpha are computed once, in ``_second_order``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -225,11 +226,16 @@ def _state_probs(model, alpha, x, n_max):
     probs = np.empty(N_MAX_CEILING + 1 if n_max is None else n_max + 1)
     if alpha == 1.0:
         filled = _panjer_blocks(model, x, _block_sizes(n_max), probs)
+        quiet = contextlib.nullcontext()
     else:
+        # Rows that overflow on the contour leave a NaN estimate, which fails
+        # their block with NonConvergenceError; numpy need not warn first.
         filled = _node_blocks(model, alpha, x, _block_sizes(n_max), probs)
-    for made in filled:
-        if n_max is None and 1.0 - probs[:made].sum() <= TAIL_TOL:
-            return probs[:made].copy()
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        for made in filled:
+            if n_max is None and 1.0 - probs[:made].sum() <= TAIL_TOL:
+                return probs[:made].copy()
     return probs
 
 

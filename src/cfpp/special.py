@@ -19,7 +19,9 @@ Re(T w) = Re T Re w - Im T Im w, so the interleaved (re, im) pairs of the
 transform meet one real (512, 2) weight matrix whose second column is the
 difference between the rules at steps h and 2h.  One matrix product gives
 the value and that gap, and a gap above 1e-12 relative to max(1, |value|)
-raises NonConvergenceError.  That happens near alpha = 1 at the top of the
+raises NonConvergenceError.  The relative gap is never the larger, so the
+estimate is the absolute gap where that already meets 1e-12 and the
+relative gap otherwise.  Refusals happen near alpha = 1 at the top of the
 domain, where the transform has a near-singularity just across the branch
 cut.  The node powers s^alpha and s^(alpha - 1) are cached per alpha, and
 so are the weights multiplied by s^(alpha - 1), which the fractional
@@ -180,7 +182,7 @@ def ml_three(params: MLParams, x: float) -> float:
     top = sa1 if power == alpha - 1.0 else np.exp(power * _LOG_S)
     bottom = sa - x if gamma == 1.0 else (sa - x) ** gamma
     # the rule of invert_rows on one value, in Python floats
-    value, gap = ((top / bottom).view(float) @ _WR).tolist()
+    value, gap = (top / bottom).view(float).dot(_WR).tolist()
     _check_gap(abs(gap) / max(1.0, abs(value)))
     return value
 
@@ -213,6 +215,13 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
     / (s^alpha + x) differ by a power, so repeated multiplication on the
     contour gives the rows of the whole vector, to an estimated absolute
     error <= 1e-12.  n_max is an integer of at most N_MAX_CEILING = 4096.
+
+    numpy's floating-point warnings are left on: entering ``np.errstate``
+    costs about 1 us, a tenth of a small call.  |x / (s^alpha + x)|
+    stays below 1.27 on the nodes, so the rows cannot overflow before about
+    2900 of them, and the CLI asks for at most ORACLE_N_CEILING = 128;
+    ``pmf_cfpp`` silences the overflow of its own rows, whose NaN estimate
+    still raises.
     """
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
@@ -223,11 +232,15 @@ def ml_weights(alpha: float, x: float, n_max: int) -> np.ndarray:
         return np.eye(1, n_max + 1)[0]
     if alpha == 1.0:  # the Poisson pmf
         return np.exp([k * math.log(x) - x - math.lgamma(k + 1.0) for k in range(n_max + 1)])
-    b, r = node_transforms(alpha, x)
+    # node_transforms' b and r, built in place: a small call is priced by
+    # its numpy calls, not by its arithmetic
     rows = np.empty((n_max + 1, _S.size), dtype=complex)
-    rows[0] = b
-    for k in range(1, n_max + 1):
-        np.multiply(rows[k - 1], r, out=rows[k])
+    b = rows[0]
+    np.reciprocal(np.add(_node_powers(alpha)[0], x, out=b), out=b)
+    if n_max:
+        r = x * b
+        for k in range(1, n_max + 1):
+            np.multiply(rows[k - 1], r, out=rows[k])
     values, err = invert_rows(rows, alpha)
     _check_gap(err)
     return values
@@ -250,14 +263,19 @@ def invert_rows(rows, alpha: float):
 
     The rows are probability transforms with their common factor
     s^(alpha-1) left out (see ``node_transforms``); one real product with
-    the weights that hold it gives every value and its h/2h gap, and the
-    estimate is the largest gap relative to max(1, |value|), for
-    ``_check_gap``.  Values are clipped at 0, since rounding can leave a
-    far-tail probability a few ulps below it.
+    the weights that hold it gives every value and its h/2h gap.  The
+    estimate, for ``_check_gap``, is the largest absolute gap where that
+    already meets 1e-12, and otherwise the largest gap relative to
+    max(1, |value|), which is never larger; a NaN gap gives NaN.  Values
+    are clipped at 0, since rounding can leave a far-tail probability a
+    few ulps below it.
     """
-    both = rows.view(float) @ _node_powers(alpha)[2]
-    size = abs(both)
-    return np.maximum(both[..., 0], 0.0), (size[..., 1] / np.maximum(size[..., 0], 1.0)).max()
+    both = rows.view(float).dot(_node_powers(alpha)[2])
+    err = abs(both[..., 1]).max()
+    if not err <= _CONTOUR_TOL:  # the relative gap is never larger; NaN falls through too
+        size = abs(both)
+        err = (size[..., 1] / np.maximum(size[..., 0], 1.0)).max()
+    return np.maximum(both[..., 0], 0.0), err
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,23 @@ class TestPmfCommand:
         assert main(["pmf", "--config", str(cfg)]) == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
 
+    def test_overflowing_contour_rows_exit_3_without_warnings(self, tmp_path):
+        # t^0.95 = 49.99: the unit-jump rows overflow on the contour.  A fresh
+        # process, so that any numpy warning would reach stderr.
+        cfg = tmp_path / "overflow.json"
+        doc = {"intensity": {"type": "finite", "values": [1.0]}, "alpha": 0.95, "t": 61.43, "n_max": 4096}
+        cfg.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cfpp.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-m", "cfpp.cli", "pmf", "--config", str(cfg)],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == EXIT_NUMERIC
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == [
+            "numeric error: Bromwich contour error estimate nan exceeds 1e-12"
+        ]
+
     def test_moment_overflow_exits_3(self, tmp_path, capsys):
         # t^(r alpha) overflows for the orders r <= 4 that `moments` reports;
         # at r_max = 1 the first moment is finite but the variance overflows

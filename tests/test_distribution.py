@@ -135,10 +135,10 @@ class TestStateProbabilities:
 
     def test_overflowing_rows_fail_their_block(self):
         # Unit jumps at alpha = 0.95, x = 50: the rows overflow hundreds of
-        # rows in, so a later chunk's NaN estimate must fail the whole block.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergenceError, match="nan"):
-                pmf_cfpp(UNIT, 0.95, 50.0 ** (1 / 0.95), N_MAX_CEILING)
+        # rows in, so a later chunk's NaN estimate must fail the whole block,
+        # without a RuntimeWarning from numpy on the way.
+        with pytest.raises(NonConvergenceError, match="nan"):
+            pmf_cfpp(UNIT, 0.95, 50.0 ** (1 / 0.95), N_MAX_CEILING)
 
     # The jump-sum matrix times the fractional-Poisson weights: the engine
     # pmf_cfpp ran before the contour recurrence, kept as its reference.

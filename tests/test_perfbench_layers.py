@@ -41,12 +41,16 @@ def test_layer_wrappers_install_run_and_restore(monkeypatch):
         n_max = cfpp.distribution.default_n_max(GeometricIntensity(1.0, 0.5), 0.7, 1.0)
         # the exact-law trace counts the pgf's contour calls in this span
         cfpp.distribution.pgf(GeometricIntensity(1.0, 0.5), 0.7, 1.0, 0.5)
+        # the laplace-quad trace reads special.ml_weights.us_per_call from this span
+        cfpp.special.ml_weights(0.6, 1.0, 4)
     finally:
         tracer.restore()
     rows = tracer.by_name()
     assert rows["distribution.default_n_max"]["calls"] == 1
     assert rows["distribution.pmf_cfpp"]["calls"] == 1
     assert rows["special.ml_three"]["calls"] == 1
+    assert rows["special.ml_weights"]["calls"] == 1
+    assert rows["special.ml_weights"]["self_s"] > 0.0
     assert tracer.maxima["distribution.truncation_mass.max"] <= cfpp.distribution.TAIL_TOL
     assert n_max < cfpp.distribution.N_MAX_CEILING
     assert "distribution.n_max_capped" not in tracer.counts

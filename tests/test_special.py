@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from scipy import integrate, special
 import cfpp
 from cfpp.errors import DomainError, NonConvergenceError
 from cfpp.special import (
+    _CONTOUR_TOL,
     _LOG_S,
     _S,
     _WR,
@@ -23,11 +25,13 @@ from cfpp.special import (
     MLParams,
     complete_beta,
     incomplete_beta,
+    invert_rows,
     ml_deriv,
     ml_one,
     ml_three,
     ml_two,
     ml_weights,
+    node_transforms,
 )
 
 
@@ -361,6 +365,16 @@ class TestWeightVector:
             ]
         np.testing.assert_allclose(ml_weights(alpha, x, 4), want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "alpha,x,n_max,estimate",
+        [(0.9, 45.0, 300, "8.6e-01"), (0.95, 45.0, 300, "6.9e+13"), (0.999, 50.0, 128, "2.1e-10")],
+    )
+    def test_refusals_report_the_relative_estimate(self, alpha, x, n_max, estimate):
+        # the absolute gap fails first here, and the message quotes the gap
+        # relative to max(1, |value|)
+        with pytest.raises(NonConvergenceError, match=re.escape(f"estimate {estimate} exceeds 1e-12")):
+            ml_weights(alpha, x, n_max)
+
     def test_unresolved_near_singularity_raises(self):
         # at alpha -> 1 and x = 50 the transform is nearly singular just
         # across the branch cut; the contour must refuse, not return noise
@@ -379,6 +393,59 @@ class TestWeightVector:
         for n_max in (True, 2.5, -1, N_MAX_CEILING + 1):
             with pytest.raises(DomainError):
                 ml_weights(0.5, 1.0, n_max)
+
+
+def _recurrence_rows(alpha, x, n):
+    """b, b r, ..., b r^n from node_transforms, as pmf_cfpp's unit-jump rows."""
+    b, r = node_transforms(alpha, x)
+    rows = np.empty((n + 1, b.size), dtype=complex)
+    rows[0] = b
+    for k in range(1, n + 1):
+        np.multiply(rows[k - 1], r, out=rows[k])
+    return rows
+
+
+class TestInversionEstimate:
+    """invert_rows returns the absolute h/2h gap where that meets 1e-12 and
+    the gap relative to max(1, |value|) otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 0.999),
+        x=st.floats(0.0, 50.0),
+        n=st.integers(0, 40),
+        scale=st.floats(-14.0, 8.0),
+    )
+    @example(alpha=0.999, x=50.0, n=128, scale=0.0)
+    @example(alpha=0.6, x=3.0, n=4, scale=8.0)
+    def test_estimate_passes_exactly_when_the_relative_gap_does(self, alpha, x, n, scale):
+        # scaled rows reach values far above 1, where the absolute gap fails
+        # and the relative one can pass
+        rows = _recurrence_rows(alpha, x, n) * 10.0**scale
+        both = rows.view(float).dot(_node_powers(alpha)[2])
+        relative = (abs(both[:, 1]) / np.maximum(abs(both[:, 0]), 1.0)).max()
+        _, err = invert_rows(rows, alpha)
+        assert (err <= _CONTOUR_TOL) == (relative <= _CONTOUR_TOL)
+        if err <= _CONTOUR_TOL:
+            assert relative <= err
+        else:
+            assert err == relative
+
+    def test_a_nan_row_gives_a_nan_estimate(self):
+        rows = _recurrence_rows(0.6, 3.0, 4)
+        rows[2, 7] = complex(math.inf, 0.0)
+        with np.errstate(invalid="ignore"):
+            _, err = invert_rows(rows, 0.6)
+        assert math.isnan(err)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 300])
+    @pytest.mark.parametrize("alpha,x", [(0.3, 20.0), (0.6, 3.0), (0.85, 12.0)])
+    def test_ml_weights_inverts_the_node_transform_rows(self, alpha, x, n):
+        # ml_weights builds its rows in place; pmf_cfpp builds them from
+        # node_transforms.  Both must invert the same transforms, bit for bit.
+        values, err = invert_rows(_recurrence_rows(alpha, x, n), alpha)
+        assert err <= _CONTOUR_TOL
+        np.testing.assert_array_equal(ml_weights(alpha, x, n), values)
 
 
 class TestIncompleteBeta:
