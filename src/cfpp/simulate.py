@@ -7,6 +7,7 @@ Two exact samplers are provided for the count at a fixed time t:
 * ``RenewalCompound`` -- accumulate Mittag-Leffler waiting times until they
   pass t, scoring one iid jump per renewal as it arrives; the same loop
   gives each path's counts at several sorted times, a draw of the joint law.
+  It keeps the clocks of the paths still running as one compact array.
 
 Finite jump laws are drawn by inverse CDF, geometric ones by ``rng.geometric``.
 Every sampler takes a size and returns an array of that many draws; one
@@ -21,12 +22,13 @@ Reproducibility contract: worker w draws from the substream spawned from
 (seed, w) and contributes n_samples // workers samples, one more for the
 first n_samples % workers workers, so a report holds exactly n_samples
 counts; results are merged in worker order, so a report depends only on
-(seed, n_samples, workers).
+(seed, n_samples, workers).  The workers run on at most one thread per CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,6 +60,8 @@ class SamplerConfig:
     method: str = METHOD_TIME_CHANGE
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.workers < 1:
@@ -81,9 +85,14 @@ class MCReport:
 
 
 def _log_sin(y):
-    """log sin(y) for y in (0, pi], from the half-angle tangent: sin y = 2 tau / (1 + tau^2)."""
-    tau = np.tan(y / 2.0)
-    return np.log(2.0 * tau) - np.log1p(tau * tau)
+    """log sin(y) for y in (0, pi], from the half-angle tangent: sin y = 2 tau / (1 + tau^2).
+
+    Overwrites y with the result, so callers pass an array of their own.
+    """
+    tau = np.tan(np.divide(y, 2.0, out=y), out=y)
+    log1p_sq = np.multiply(tau, tau)
+    np.log1p(log1p_sq, out=log1p_sq)
+    return np.subtract(np.log(np.multiply(tau, 2.0, out=tau), out=tau), log1p_sq, out=tau)
 
 
 def _log_stable(alpha, rng, n):
@@ -96,10 +105,18 @@ def _log_stable(alpha, rng, n):
     Chambers-Mallows-Stuck angle v + pi/2 of the same uniform draw; U = 0,
     where every sine vanishes, is read as the next uniform, 2^-53.
     """
-    phi = np.pi * np.maximum(rng.random(n), 2.0**-53)
+    # Every array written in place here was made here: the generator's own
+    # draws are only read.
+    phi = np.maximum(rng.random(n), 2.0**-53)
+    phi *= np.pi
     w = rng.exponential(1.0, n)
-    log_ratio = _log_sin((1.0 - alpha) * phi) - np.log(w)
-    return _log_sin(alpha * phi) - _log_sin(phi) / alpha + (1.0 - alpha) / alpha * log_ratio
+    log_ratio = _log_sin((1.0 - alpha) * phi)
+    log_ratio -= np.log(w)
+    log_ratio *= (1.0 - alpha) / alpha
+    out = _log_sin(alpha * phi)
+    out -= np.divide(_log_sin(phi), alpha, out=phi)
+    out += log_ratio
+    return out
 
 
 def sample_stable(alpha: float, rng, size):
@@ -110,7 +127,8 @@ def sample_stable(alpha: float, rng, size):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"stable sampling needs 0 < alpha < 1, got {alpha}")
-    return np.exp(_log_stable(alpha, rng, size))
+    log_s = _log_stable(alpha, rng, size)
+    return np.exp(log_s, out=log_s)
 
 
 def sample_inverse_stable(alpha: float, t: float, rng, size):
@@ -121,7 +139,10 @@ def sample_inverse_stable(alpha: float, t: float, rng, size):
         raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 1.0:
         return np.full(size, float(t))
-    return np.exp(alpha * (math.log(t) - _log_stable(alpha, rng, size)))
+    h = _log_stable(alpha, rng, size)
+    np.subtract(math.log(t), h, out=h)
+    h *= alpha
+    return np.exp(h, out=h)
 
 
 def ml_waiting_time(alpha: float, lambda0: float, rng, size):
@@ -142,11 +163,17 @@ def ml_waiting_time(alpha: float, lambda0: float, rng, size):
     # V = 0 divides by zero, and at small alpha (Z / lambda_0)^(1/alpha)
     # overflows: W = inf is a path that renews at no finite t, which the
     # renewal loop retires.  It stays inf, not NaN, when U = 0 makes the
-    # exponential factor 0.
+    # exponential factor 0.  Z, then the scale, is formed in v and W in u.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
-        scale = (z / lambda0) ** (1.0 / alpha)
-        return np.where(scale == np.inf, np.inf, -np.log1p(-u) * scale)
+        v *= alpha * np.pi
+        z = np.divide(np.sin(alpha * np.pi), np.tan(v, out=v), out=v)
+        z -= np.cos(alpha * np.pi)
+        z /= lambda0
+        z **= 1.0 / alpha
+        w = np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+        w *= z
+        w[z == np.inf] = np.inf
+        return w
 
 
 class JumpSampler:
@@ -171,7 +198,8 @@ class JumpSampler:
         if self._cdf is None:
             out = rng.geometric(self._p_success, size)
         else:
-            out = np.searchsorted(self._cdf, rng.random(size), side="right") + 1
+            out = np.searchsorted(self._cdf, rng.random(size), side="right")
+            out += 1
         return out.astype(np.int64, copy=False)
 
 
@@ -181,12 +209,17 @@ def _jump_totals(jump_sampler, counts, rng):
     Sample i owns the next counts[i] jumps, so its total is the difference of
     the jumps' prefix sums at the ends of its segment and of the one before.
     """
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.zeros(len(counts), dtype=np.int64)
     prefix = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(jump_sampler.sample(rng, total), out=prefix[1:])
-    return np.diff(prefix[np.cumsum(counts)], prepend=0)
+    at_ends = prefix.take(ends)
+    # the totals overwrite the segment ends, which are no longer needed
+    ends[0] = at_ends[0]
+    np.subtract(at_ends[1:], at_ends[:-1], out=ends[1:])
+    return ends
 
 
 def sample_cfpp_batch(model, alpha, t, rng, size, method=METHOD_TIME_CHANGE):
@@ -236,6 +269,10 @@ def _renewal_counts(model, alpha, times, rng, size):
     the jump counts at every time the arrival is at or before.  Each event's
     jump is drawn together with its waiting time, so runs with the same seed
     give nested paths as the times grow.
+
+    The clocks of the active paths are kept compact, in the order of
+    `active`, and both are cut down only in a round in which some path
+    passes the last time.
     """
     sampler = JumpSampler(model)
     lam0 = model.lambda_at(0)
@@ -243,13 +280,16 @@ def _renewal_counts(model, alpha, times, rng, size):
     clock = np.zeros(size)
     active = np.arange(size)
     while active.size:
-        clock[active] += ml_waiting_time(alpha, lam0, rng, active.size)
-        active = active[clock[active] <= times[-1]]
+        clock += ml_waiting_time(alpha, lam0, rng, active.size)
+        kept = np.flatnonzero(clock <= times[-1])
+        if kept.size < active.size:
+            active = active.take(kept)
+            clock = clock.take(kept)
         if active.size:
             jumps = sampler.sample(rng, active.size)
             counts[-1][active] += jumps
             for row, time in zip(counts[:-1], times[:-1]):
-                early = clock[active] <= time
+                early = clock <= time
                 row[active[early]] += jumps[early]
     return counts
 
@@ -263,11 +303,11 @@ def _all_counts(model, alpha, t, cfg):
         return sample_cfpp_batch(model, alpha, t, rng, base + (w < extra), cfg.method)
 
     if cfg.workers == 1:
-        chunks = [draw(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(draw, range(cfg.workers)))
-    return np.concatenate(chunks)
+        return draw(0)
+    # Each worker is a substream, not a thread: at most one thread per CPU
+    # runs them, and the merge stays in worker order.
+    with ThreadPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
+        return np.concatenate(list(pool.map(draw, range(cfg.workers))))
 
 
 def _report_from_counts(counts, cfg):

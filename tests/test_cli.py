@@ -200,14 +200,16 @@ def _invocations(draw):
         )
     )
     command = draw(st.sampled_from(["pmf", "moments", "pgf", "simulate", "dependence", "validate"]))
+    seed = st.integers(-2, 2**64)
     if command == "validate":
-        return command, config, ["--mc-samples", str(draw(st.integers(0, 300)))]
+        return command, config, ["--mc-samples", str(draw(st.integers(0, 300))), "--seed", str(draw(seed))]
     extra = ["--format", draw(st.sampled_from(["csv", "json"]))]
     if command == "simulate":
         extra += [
             "--samples", str(draw(st.integers(-1, 50))),
             "--workers", str(draw(st.integers(0, 3))),
             "--method", draw(st.sampled_from(["time-change", "renewal"])),
+            "--seed", str(draw(seed)),
         ]
     elif command == "dependence":
         extra += ["--mode", draw(st.sampled_from(["process", "increment", "slope"]))]
@@ -232,6 +234,8 @@ def _invocations(draw):
 @example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "process", "--t-max", "1e308"]))
 @example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "increment", "--s", "1e250"]))
 @example(("dependence", {"intensity": _GEO, "alpha": 0.7}, ["--mode", "slope", "--t-max", "1e308"]))
+@example(("simulate", {"intensity": _GEO, "alpha": 0.7}, ["--samples", "10", "--seed", "-1"]))
+@example(("validate", {}, ["--mc-samples", "200", "--seed", "-5"]))
 def test_fuzzed_invocations_exit_with_a_documented_code(tmp_path_factory, invocation):
     # 0 ok, 2 bad config, 3 numeric error; 1 only for a failed validation
     # suite.  Anything else, or an exception escaping main, is a defect.
@@ -280,6 +284,10 @@ class TestSimulateCommand:
 
     def test_bad_sampler_settings_exit_2(self, geo_config, capsys):
         assert main(["simulate", "--config", geo_config, "--samples", "0"]) == EXIT_BAD_CONFIG
+
+    def test_negative_seed_exits_2(self, geo_config, capsys):
+        assert main(["simulate", "--config", geo_config, "--seed", "-1", "--samples", "10"]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_renewal_at_small_alpha_and_rate(self, tmp_path, capsys):
         # (Z / lambda_0)^(1/alpha) overflows at alpha 0.001, lambda_0 0.05:
@@ -386,3 +394,8 @@ class TestValidateCommand:
             == EXIT_VALIDATION_FAILED
         )
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_exits_3(self, capsys):
+        # the sampler refuses the seed, as it refuses --mc-samples 0
+        assert main(["validate", "--mc-samples", "200", "--seed", "-5"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric error: seed must be >= 0, got -5\n"

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import cfpp
 import cfpp.dependence
 import cfpp.distribution
@@ -56,3 +58,26 @@ def test_layer_wrappers_install_run_and_restore(monkeypatch):
     assert "distribution.n_max_capped" not in tracer.counts
     for owner, attrs in zip(owners, before):
         assert all(vars(owner)[name] is value for name, value in attrs.items())
+
+
+def test_sampler_layers_record_their_spans(monkeypatch):
+    # the monte-carlo trace reads the renewal loop, its rounds and jumps, and
+    # the time-change stable and Poisson draws from these spans
+    spans, layers = _load("spans", monkeypatch), _load("layers", monkeypatch)
+    sim, model = cfpp.simulate, GeometricIntensity(1.0, 0.5)
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer, cfpp)
+        sim.sample_cfpp_batch(model, 0.7, 1.0, np.random.default_rng(1), 1000, sim.METHOD_RENEWAL)
+        renewal = {name: dict(row) for name, row in tracer.by_name().items()}
+        sim.sample_cfpp_batch(model, 0.7, 1.0, np.random.default_rng(2), 1000, sim.METHOD_TIME_CHANGE)
+    finally:
+        tracer.restore()
+    assert renewal["simulate.renewal_loop"]["calls"] == 1
+    assert renewal["simulate.waiting_time"]["calls"] >= 2
+    assert renewal["simulate.jump_sums"]["calls"] >= 1
+    assert "simulate.stable_draw" not in renewal and "simulate.poisson_draw" not in renewal
+    rows = tracer.by_name()
+    assert rows["simulate.stable_draw"]["calls"] == 1
+    assert rows["simulate.poisson_draw"]["calls"] == 1
+    assert rows["simulate.renewal_loop"]["calls"] == 1

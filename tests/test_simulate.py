@@ -1,11 +1,15 @@
 """Samplers against distributional oracles, plus reproducibility contracts."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cfpp import simulate
 from cfpp.distribution import mean_cfpp, pmf_cfpp, var_cfpp
 from cfpp.errors import DomainError
 from cfpp.intensity import FiniteIntensity, GeometricIntensity, delta, jump_pmf
@@ -16,7 +20,9 @@ from cfpp.simulate import (
     MCReport,
     SamplerConfig,
     JumpSampler,
+    _jump_totals,
     _log_stable,
+    _renewal_counts,
     _report_from_counts,
     mc_pmf,
     ml_waiting_time,
@@ -46,6 +52,44 @@ class Draws:
     def exponential(self, scale, n):
         assert scale == 1.0 and n == self.exponentials.size
         return self.exponentials
+
+
+def renewal_counts_reference(model, alpha, times, rng, size):
+    """The renewal loop as it was before its clocks were kept compact: each
+    round gathers and scatters the active clocks over the whole block."""
+    sampler = JumpSampler(model)
+    lam0 = model.lambda_at(0)
+    counts = np.zeros((len(times), size), dtype=np.int64)
+    clock = np.zeros(size)
+    active = np.arange(size)
+    while active.size:
+        clock[active] += ml_waiting_time(alpha, lam0, rng, active.size)
+        active = active[clock[active] <= times[-1]]
+        if active.size:
+            jumps = sampler.sample(rng, active.size)
+            counts[-1][active] += jumps
+            for row, time in zip(counts[:-1], times[:-1]):
+                early = clock[active] <= time
+                row[active[early]] += jumps[early]
+    return counts
+
+
+def jump_totals_reference(jump_sampler, counts, rng):
+    """Jump totals by np.diff of the prefix sums at the segment ends."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(len(counts), dtype=np.int64)
+    prefix = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(jump_sampler.sample(rng, total), out=prefix[1:])
+    return np.diff(prefix[np.cumsum(counts)], prepend=0)
+
+
+# geometric laws from q = 0 (unit jumps) to heavy, and finite laws with
+# zero-probability jumps (delta_1 = 0, and delta_1 = delta_3 = 0)
+REFERENCE_MODELS = [GeometricIntensity(1.0, q) for q in (0.0, 0.5, 0.9)] + [
+    FiniteIntensity([1.0, 1.0, 0.5]),
+    FiniteIntensity([1.0, 1.0, 0.3, 0.3, 0.0]),
+]
 
 
 def log_stable_cms(alpha, v, w):
@@ -237,6 +281,44 @@ class TestCountSampler:
         emp = (counts == 0).mean()
         assert abs(emp - exact) < 3 * math.sqrt(exact * (1 - exact) / N)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(REFERENCE_MODELS),
+        alpha=st.sampled_from([0.01, 0.5, 1.0]),
+        times=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3).map(sorted),
+        size=st.sampled_from([1, 5, BLOCK + 1]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_renewal_counts_match_the_reference_loop(self, model, alpha, times, size, seed):
+        # every draw, in the same order: the counts and the stream after them agree
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _renewal_counts(model, alpha, tuple(times), rng, size)
+        np.testing.assert_array_equal(got, renewal_counts_reference(model, alpha, tuple(times), ref_rng, size))
+        assert got.dtype == np.int64
+        assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from(REFERENCE_MODELS),
+        middle=st.lists(st.integers(0, 6), max_size=40),
+        lead=st.integers(0, 3),
+        trail=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_jump_totals_match_the_reference(self, model, middle, lead, trail, seed):
+        # zero-count segments at either end, and batches with no jump at all
+        counts = np.array([0] * lead + middle + [0] * trail, dtype=np.int64)
+        if not counts.size:
+            counts = np.zeros(1, dtype=np.int64)
+        before = counts.copy()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sampler = JumpSampler(model)
+        got = _jump_totals(sampler, counts, rng)
+        np.testing.assert_array_equal(got, jump_totals_reference(sampler, counts, ref_rng))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(counts, before)
+        assert rng.random() == ref_rng.random()
+
     def test_renewal_counts_are_monotone_in_t(self):
         # identical seed -> identical waiting-time sequence -> coupled paths
         for seed in range(40):
@@ -326,7 +408,34 @@ class TestMonteCarloReports:
         assert _report_from_counts(np.array([3, 3, 3]), SamplerConfig(seed=0)).var_se == 0.0
         assert _report_from_counts(np.array([5]), SamplerConfig(seed=0)).var_se == 0.0
 
+    def test_pool_threads_capped_at_cpu_count(self, monkeypatch):
+        # 64 substreams run on at most one thread per CPU, and give the same
+        # report as 64 threads would
+        real_pool = simulate.ThreadPoolExecutor
+        asked = []
+
+        def recording_pool(max_workers):
+            asked.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        cfg = SamplerConfig(seed=21, n_samples=100, workers=64)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+        capped = mc_pmf(GEO, 0.7, 1.0, cfg)
+        assert asked == [min(64, os.cpu_count() or 1)]
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        one_thread = mc_pmf(GEO, 0.7, 1.0, cfg)
+        assert asked[1] == 1
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", lambda max_workers: real_pool(max_workers=64))
+        wide = mc_pmf(GEO, 0.7, 1.0, cfg)
+        for rep in (one_thread, wide):
+            np.testing.assert_array_equal(rep.empirical_pmf, capped.empirical_pmf)
+            for field in ("sample_mean", "sample_var", "var_se"):
+                assert getattr(rep, field) == getattr(capped, field)
+            assert rep.n_samples == 100
+
     def test_config_validation(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            SamplerConfig(seed=-1)
         with pytest.raises(DomainError):
             SamplerConfig(seed=1, n_samples=0)
         with pytest.raises(DomainError):
